@@ -8,7 +8,7 @@ matched, so edge matching rates are 1 by construction (the server did
 the perfect filtering for them).
 """
 
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional
 
 from repro.baselines.common import (
     BaselineSystem,
@@ -17,8 +17,7 @@ from repro.baselines.common import (
     Handler,
 )
 from repro.core.subscription import Subscription
-from repro.filters.index import CountingIndex
-from repro.filters.table import FilterTable
+from repro.filters import MatchEngine, engine_class
 from repro.metrics.counters import NodeCounters
 from repro.overlay.messages import Publish
 from repro.sim.kernel import Process, Simulator
@@ -37,9 +36,7 @@ class CentralServer(Process):
     ):
         super().__init__(sim, name)
         self.network = network
-        self.table: Union[FilterTable, CountingIndex] = (
-            CountingIndex() if engine == "index" else FilterTable()
-        )
+        self.table: MatchEngine = engine_class(engine)()
         self.counters = NodeCounters()
         self._subscription_count = 0
 

@@ -31,12 +31,10 @@ from repro.core.subscription import Subscription, next_group_id
 from repro.events.base import CLASS_ATTRIBUTE
 from repro.events.closures import FilterClosure
 from repro.events.hierarchy import TypeRegistry
+from repro.filters import engine_class
 from repro.filters.disjunction import Disjunction
 from repro.filters.filter import Filter
-from repro.filters.compiled import CompiledMatchEngine
-from repro.filters.index import CountingIndex
 from repro.filters.parser import parse_filter
-from repro.filters.table import FilterTable
 from repro.flow import FlowConfig
 from repro.log.config import LogConfig
 from repro.obs.sampling import StageSampler
@@ -47,7 +45,6 @@ from repro.overlay.subscriber import Handler, SubscriberRuntime
 from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.network import Network
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import TraceRecorder
 from repro.streams.flowgraph import FlowGraph
 from repro.streams.registrar import FlowRegistrar
 from repro.streams.spec import FlowSpec
@@ -83,7 +80,6 @@ class MultiStageEventSystem:
         ttl: float = 60.0,
         seed: int = 0,
         engine: str = "index",
-        trace: bool = False,
         link_latency: float = 0.001,
         wildcard_routing: bool = True,
         compact: bool = False,
@@ -98,10 +94,7 @@ class MultiStageEventSystem:
         log: Optional[LogConfig] = None,
         runtime: str = "sim",
     ):
-        if engine not in ("index", "table", "compiled"):
-            raise ValueError(
-                f"engine must be 'index', 'table' or 'compiled', got {engine!r}"
-            )
+        engine_factory = engine_class(engine)
         if runtime not in ("sim", "asyncio", "multiprocess"):
             raise ValueError(
                 f"runtime must be 'sim', 'asyncio' or 'multiprocess', "
@@ -147,12 +140,6 @@ class MultiStageEventSystem:
         #: no replay, no catch-up subscribers).
         self.log = log
         self.rngs = RngRegistry(seed)
-        self.trace = TraceRecorder(enabled=trace)
-        engine_factory = {
-            "index": CountingIndex,
-            "table": FilterTable,
-            "compiled": CompiledMatchEngine,
-        }[engine]
         if runtime == "multiprocess":
             from repro.runtime.multiprocess_backend import SystemSpec
 
@@ -186,7 +173,6 @@ class MultiStageEventSystem:
                 ttl=ttl,
                 engine_factory=engine_factory,
                 rngs=self.rngs,
-                trace=self.trace,
                 link_latency=link_latency,
                 wildcard_routing=wildcard_routing,
                 compact=compact,
@@ -269,7 +255,6 @@ class MultiStageEventSystem:
             name or self._fresh_name("subscriber"),
             self.root,
             ttl=self.ttl,
-            trace=self.trace,
             reliable=self.reliable,
             tracer=self.tracer,
             flow=self.flow,

@@ -27,10 +27,10 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.engine import MultiStageEventSystem
 from repro.metrics.report import (
+    render_counters,
     render_fault_alignment,
     render_hottest_brokers,
     render_network_summary,
-    render_reliability_summary,
     render_series,
     render_stage_latency_histograms,
     render_table,
@@ -367,7 +367,7 @@ def render(result: ChaosResult) -> str:
         if n.counters.control_retransmits or n.counters.control_dups_discarded
     ]
     if named:
-        parts.append(render_reliability_summary(named))
+        parts.append(render_counters("reliability", named))
     if result.tracer.enabled:
         parts.append(render_observability(result))
     return "\n\n".join(parts)

@@ -137,24 +137,23 @@ class ScenarioResult:
 
     def cache_totals(self) -> Dict[str, float]:
         """System-wide routing-cache and batch counters (broker stages)."""
-        from repro.metrics.report import aggregate_cache_counters
-
-        return aggregate_cache_counters(
-            counters
-            for stage in self.stages()
-            if stage >= 1
-            for _, counters in self.counters_by_stage[stage]
-        )
+        return self._broker_totals("cache")
 
     def aggregation_totals(self) -> Dict[str, float]:
         """System-wide covering-aggregation counters (broker stages)."""
-        from repro.metrics.report import aggregate_aggregation_counters
+        return self._broker_totals("aggregation")
 
-        return aggregate_aggregation_counters(
-            counters
-            for stage in self.stages()
-            if stage >= 1
-            for _, counters in self.counters_by_stage[stage]
+    def _broker_totals(self, section: str) -> Dict[str, float]:
+        from repro.metrics.report import aggregate_counters
+
+        return aggregate_counters(
+            section,
+            (
+                counters
+                for stage in self.stages()
+                if stage >= 1
+                for _, counters in self.counters_by_stage[stage]
+            ),
         )
 
 

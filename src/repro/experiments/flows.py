@@ -40,7 +40,7 @@ from repro.log import (
     dropped_window_excusals,
     verify_exactly_once,
 )
-from repro.metrics.report import render_stream_summary, render_table
+from repro.metrics.report import render_counters, render_table
 from repro.workloads.telemetry import (
     TELEMETRY_EVENT_CLASS,
     TELEMETRY_SCHEMA,
@@ -221,8 +221,8 @@ def run_flows(
         system.root.log, system.tracer, audited, fault_windows=windows
     )
     outcome.trace_dump = system.tracer.dump()
-    outcome.stream_report = render_stream_summary(
-        [(n.name, n.counters) for n in nodes]
+    outcome.stream_report = render_counters(
+        "stream", [(n.name, n.counters) for n in nodes]
     )
     return outcome
 

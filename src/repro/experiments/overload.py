@@ -31,10 +31,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.engine import MultiStageEventSystem
 from repro.flow import FlowConfig
-from repro.metrics.report import (
-    render_flow_summary,
-    render_table,
-)
+from repro.metrics.report import render_counters, render_table
 from repro.sim.rng import RngRegistry
 
 OVERLOAD_EVENT_CLASS = "Load"
@@ -289,7 +286,8 @@ def render(result: OverloadResult) -> str:
         (n.name, n.counters) for n in worst.system.hierarchy.nodes()
     ] + [(p.name, p.counters) for p in worst.system.publishers]
     parts.append(
-        render_flow_summary(
+        render_counters(
+            "flow",
             named,
             title=(
                 f"Flow counters at {max(config.multipliers):g}x "

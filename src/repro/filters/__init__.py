@@ -26,10 +26,15 @@ paper's overlay nodes evaluate and weaken.  This package provides:
   batch hot path: indexable conjunctive parts compiled into flat
   bitmap/bisect structures with residual predicates on survivors only.
 
+:data:`ENGINES` names the three match engines for the ``engine=``
+option; :func:`engine_class` resolves a name and rejects unknown ones.
+
 Covering here is *sound but not complete*: ``f.covers(g)`` returning True
 guarantees every event matching ``g`` matches ``f`` (what Proposition 1
 needs); False may simply mean "could not prove it".
 """
+
+from typing import Dict, Type
 
 from repro.filters.compiled import CompiledMatchEngine
 from repro.filters.constraints import AttributeConstraint
@@ -56,6 +61,23 @@ from repro.filters.parser import FilterParseError, parse_filter, render_filter
 from repro.filters.standard import standardize
 from repro.filters.table import FilterTable
 
+#: Match engines by their ``engine=`` name.
+ENGINES: Dict[str, Type[MatchEngine]] = {
+    "index": CountingIndex,
+    "table": FilterTable,
+    "compiled": CompiledMatchEngine,
+}
+
+
+def engine_class(name: str) -> Type[MatchEngine]:
+    """The match engine for an ``engine=`` name (ValueError if unknown)."""
+    if name not in ENGINES:
+        raise ValueError(
+            f"engine must be 'index', 'table' or 'compiled', got {name!r}"
+        )
+    return ENGINES[name]
+
+
 __all__ = [
     "ALL",
     "AttributeConstraint",
@@ -66,6 +88,7 @@ __all__ = [
     "CoveringIndex",
     "filter_shape",
     "Disjunction",
+    "ENGINES",
     "EQ",
     "EXISTS",
     "Filter",
@@ -80,6 +103,7 @@ __all__ = [
     "NE",
     "Operator",
     "PREFIX",
+    "engine_class",
     "event_covers",
     "operator_by_symbol",
     "parse_filter",

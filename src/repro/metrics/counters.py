@@ -6,7 +6,7 @@ simulation likewise counts, "at each node, the number of filters, the
 number of received events and the number of matched events" (§5.3).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict
 
 
@@ -171,48 +171,15 @@ class NodeCounters:
             self.max_filters_held = count
 
     def snapshot(self) -> Dict[str, int]:
-        """Plain-dict copy for reports."""
-        return {
-            "events_received": self.events_received,
-            "events_matched": self.events_matched,
-            "events_forwarded": self.events_forwarded,
-            "events_delivered": self.events_delivered,
-            "filter_evaluations": self.filter_evaluations,
-            "filters_held": self.filters_held,
-            "max_filters_held": self.max_filters_held,
-            "control_messages": self.control_messages,
-            "cache_hits": self.cache.hits,
-            "cache_misses": self.cache.misses,
-            "cache_invalidations": self.cache.invalidations,
-            "batches": self.batches,
-            "batched_events": self.batched_events,
-            "max_batch_size": self.max_batch_size,
-            "req_inserts_sent": self.req_inserts_sent,
-            "withdrawals_sent": self.withdrawals_sent,
-            "propagations_suppressed": self.propagations_suppressed,
-            "uncover_repropagations": self.uncover_repropagations,
-            "propagated_filters": self.propagated_filters,
-            "control_retransmits": self.control_retransmits,
-            "control_dups_discarded": self.control_dups_discarded,
-            "events_shed": self.events_shed,
-            "credits_granted": self.credits_granted,
-            "credit_stalls": self.credit_stalls,
-            "rate_limited": self.rate_limited,
-            "overload_transitions": self.overload_transitions,
-            "events_logged": self.events_logged,
-            "replay_events_sent": self.replay_events_sent,
-            "replay_dupes_discarded": self.replay_dupes_discarded,
-            "catchup_taps": self.catchup_taps,
-            "catchup_delivered": self.catchup_delivered,
-            "credit_gap_grants": self.credit_gap_grants,
-            "events_matched_batch": self.events_matched_batch,
-            "compile_rebuilds": self.compile_rebuilds,
-            "residual_evaluations": self.residual_evaluations,
-            "flows_installed": self.flows_installed,
-            "flow_events_in": self.flow_events_in,
-            "flow_events_out": self.flow_events_out,
-            "flow_windows_dropped": self.flow_windows_dropped,
-            "flow_collapsed_events": self.flow_collapsed_events,
-            "events_published": self.events_published,
-            "bytes_received": self.bytes_received,
-        }
+        """Plain-dict copy for reports: every int counter in declaration
+        order, with ``cache`` expanded in place as ``cache_<stat>``.  The
+        per-key dict counters (``sheds_by_reason``, ``offline_drops``) are
+        left out."""
+        out: Dict[str, int] = {}
+        for name in (f.name for f in fields(self)):
+            value = getattr(self, name)
+            if isinstance(value, CacheStats):
+                out.update((f"cache_{k}", v) for k, v in value.snapshot().items())
+            elif isinstance(value, int):
+                out[name] = value
+        return out

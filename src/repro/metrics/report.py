@@ -2,13 +2,30 @@
 
 The benchmark harness prints the same rows/series the paper reports; a
 couple of small formatters keep that output consistent everywhere.
-:func:`render_cache_summary` surfaces the routing-decision cache and
-batched-dispatch counters the hot-path optimisations add.
+
+Node counters are reported through one column table per section
+(:data:`SECTIONS`: routing cache, covering aggregation, reliable
+control, flow control, information flows).  :func:`aggregate_counters`
+folds any section's per-location counters into totals and
+:func:`render_counters` prints its per-location table; both read counter
+snapshots, so live :class:`~repro.metrics.counters.NodeCounters` and
+snapshot dicts from other processes report alike.  The remaining
+renderers draw on the causal tracer (:mod:`repro.obs.tracing`) and the
+network statistics.
 """
 
-from typing import Any, Iterable, List, Sequence, Tuple
-
-from repro.metrics.counters import NodeCounters
+import operator
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 
 def format_number(value: Any) -> str:
@@ -45,345 +62,179 @@ def render_table(headers: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
     return "\n".join(out)
 
 
-def aggregate_cache_counters(
-    counters: Iterable[NodeCounters],
-) -> dict:
-    """Fold per-node cache/batch counters into system-wide totals."""
-    totals = {
-        "hits": 0,
-        "misses": 0,
-        "invalidations": 0,
-        "batches": 0,
-        "batched_events": 0,
-        "max_batch_size": 0,
-    }
-    for counter in counters:
-        totals["hits"] += counter.cache.hits
-        totals["misses"] += counter.cache.misses
-        totals["invalidations"] += counter.cache.invalidations
-        totals["batches"] += counter.batches
-        totals["batched_events"] += counter.batched_events
-        totals["max_batch_size"] = max(
-            totals["max_batch_size"], counter.max_batch_size
-        )
-    lookups = totals["hits"] + totals["misses"]
-    totals["hit_rate"] = totals["hits"] / lookups if lookups else 0.0
-    totals["avg_batch_size"] = (
-        totals["batched_events"] / totals["batches"] if totals["batches"] else 0.0
-    )
-    return totals
+class Column(NamedTuple):
+    """One report column.
 
-
-def render_cache_summary(
-    named_counters: Iterable[Tuple[str, NodeCounters]],
-    title: str = "Routing cache / batched dispatch",
-) -> str:
-    """Per-location cache and batch counters, plus a totals row."""
-    rows: List[List[Any]] = []
-    all_counters: List[NodeCounters] = []
-    for name, counter in named_counters:
-        all_counters.append(counter)
-        rows.append(
-            [
-                name,
-                counter.cache.hits,
-                counter.cache.misses,
-                counter.cache.hit_rate(),
-                counter.cache.invalidations,
-                counter.batches,
-                counter.average_batch_size(),
-                counter.max_batch_size,
-            ]
-        )
-    totals = aggregate_cache_counters(all_counters)
-    rows.append(
-        [
-            "TOTAL",
-            totals["hits"],
-            totals["misses"],
-            totals["hit_rate"],
-            totals["invalidations"],
-            totals["batches"],
-            totals["avg_batch_size"],
-            totals["max_batch_size"],
-        ]
-    )
-    table = render_table(
-        [
-            "Location",
-            "Hits",
-            "Misses",
-            "Hit rate",
-            "Invalidations",
-            "Batches",
-            "Avg batch",
-            "Max batch",
-        ],
-        rows,
-    )
-    return f"{title}\n{table}"
-
-
-def aggregate_matching_counters(
-    counters: Iterable[NodeCounters],
-) -> dict:
-    """Fold per-node compiled-engine counters into system-wide totals."""
-    totals = {
-        "events_received": 0,
-        "events_matched_batch": 0,
-        "compile_rebuilds": 0,
-        "residual_evaluations": 0,
-        "filter_evaluations": 0,
-    }
-    for counter in counters:
-        totals["events_received"] += counter.events_received
-        totals["events_matched_batch"] += counter.events_matched_batch
-        totals["compile_rebuilds"] += counter.compile_rebuilds
-        totals["residual_evaluations"] += counter.residual_evaluations
-        totals["filter_evaluations"] += counter.filter_evaluations
-    totals["batch_match_rate"] = (
-        totals["events_matched_batch"] / totals["events_received"]
-        if totals["events_received"]
-        else 0.0
-    )
-    return totals
-
-
-def render_matching_summary(
-    named_counters: Iterable[Tuple[str, NodeCounters]],
-    title: str = "Compiled matching engine",
-) -> str:
-    """Per-location compiled-engine counters, plus a totals row.
-
-    ``Batched`` is how many events went through a single whole-batch
-    engine pass, ``Rebuilds`` the dirty-attribute recompiles the
-    control-plane churn forced, and ``Residual`` the non-indexable
-    predicates that had to run interpretively on surviving candidates.
+    ``key`` names the value in a counter snapshot
+    (:meth:`~repro.metrics.counters.NodeCounters.snapshot`); ``total``
+    names it in :func:`aggregate_counters`' result (default: ``key``);
+    ``fold`` combines per-location values into that total.
     """
-    rows: List[List[Any]] = []
-    all_counters: List[NodeCounters] = []
-    for name, counter in named_counters:
-        all_counters.append(counter)
-        rows.append(
-            [
-                name,
-                counter.events_received,
-                counter.events_matched_batch,
-                counter.compile_rebuilds,
-                counter.residual_evaluations,
-                counter.filter_evaluations,
-            ]
-        )
-    totals = aggregate_matching_counters(all_counters)
-    rows.append(
-        [
-            "TOTAL",
-            totals["events_received"],
-            totals["events_matched_batch"],
-            totals["compile_rebuilds"],
-            totals["residual_evaluations"],
-            totals["filter_evaluations"],
-        ]
-    )
-    table = render_table(
-        ["Location", "Received", "Batched", "Rebuilds", "Residual", "Probes"],
-        rows,
-    )
-    return f"{title}\n{table}"
+
+    header: str
+    key: str
+    total: str = ""
+    fold: Callable[[int, int], int] = operator.add
+
+    @property
+    def total_key(self) -> str:
+        return self.total or self.key
 
 
-def aggregate_aggregation_counters(
-    counters: Iterable[NodeCounters],
-) -> dict:
-    """Fold per-node covering-aggregation counters into totals."""
-    totals = {
-        "req_inserts_sent": 0,
-        "withdrawals_sent": 0,
-        "propagations_suppressed": 0,
-        "uncover_repropagations": 0,
-        "propagated_filters": 0,
-    }
+class Section(NamedTuple):
+    """One counter report section: a per-location table plus totals.
+
+    ``ratios`` are derived totals ``(name, numerator, denominators)``:
+    ``totals[numerator] / sum(totals[d] for d in denominators)``, 0.0
+    when the denominator is 0.  ``breakdown`` is ``(dict field, label)``
+    for a per-key dict counter merged across locations and listed below
+    the table (keys sorted, so the output is deterministic).  A
+    ``sparse`` section puts its title in the first header cell and
+    elides locations whose columns are all zero (the TOTAL row always
+    renders, so a system with no activity still gets a well-formed
+    all-zero table).
+    """
+
+    title: str
+    columns: Tuple[Column, ...]
+    ratios: Tuple[Tuple[str, str, Tuple[str, ...]], ...] = ()
+    breakdown: Optional[Tuple[str, str]] = None
+    sparse: bool = False
+
+
+SECTIONS: Dict[str, Section] = {
+    "cache": Section(
+        "Routing cache / batched dispatch",
+        (
+            Column("Hits", "cache_hits", "hits"),
+            Column("Misses", "cache_misses", "misses"),
+            Column("Invalidations", "cache_invalidations", "invalidations"),
+            Column("Batches", "batches"),
+            Column("Batched", "batched_events"),
+            Column("Max batch", "max_batch_size", fold=max),
+        ),
+        ratios=(
+            ("hit_rate", "hits", ("hits", "misses")),
+            ("avg_batch_size", "batched_events", ("batches",)),
+        ),
+    ),
+    "aggregation": Section(
+        "Covering aggregation (control plane)",
+        (
+            Column("ReqInsert", "req_inserts_sent"),
+            Column("Withdrawn", "withdrawals_sent"),
+            Column("Suppressed", "propagations_suppressed"),
+            Column("Uncovered", "uncover_repropagations"),
+            Column("Propagated", "propagated_filters"),
+        ),
+        ratios=(
+            (
+                "suppression_rate",
+                "propagations_suppressed",
+                ("req_inserts_sent", "propagations_suppressed"),
+            ),
+        ),
+    ),
+    "reliability": Section(
+        "Reliable control channel",
+        (
+            Column("Retransmits", "control_retransmits"),
+            Column("Dup frames dropped", "control_dups_discarded"),
+        ),
+    ),
+    "flow": Section(
+        "Flow control / overload protection",
+        (
+            Column("Shed", "events_shed"),
+            Column("Credits", "credits_granted"),
+            Column("Stalls", "credit_stalls"),
+            Column("Rate-limited", "rate_limited"),
+            Column("Overloads", "overload_transitions"),
+        ),
+        breakdown=("sheds_by_reason", "Sheds by reason"),
+    ),
+    "stream": Section(
+        "Information flows",
+        (
+            Column("flows", "flows_installed"),
+            Column("events in", "flow_events_in"),
+            Column("derived out", "flow_events_out"),
+            Column("windows dropped", "flow_windows_dropped"),
+            Column("collapsed", "flow_collapsed_events"),
+            Column("published", "events_published"),
+        ),
+        sparse=True,
+    ),
+}
+
+
+def _snapshot(counter: Any) -> Dict[str, Any]:
+    """A location's counters as a snapshot dict.
+
+    Accepts a live :class:`NodeCounters` or an already-taken snapshot
+    dict (e.g. from a multiprocess worker).  Tolerant by construction:
+    a snapshot that predates a counter simply lacks its key, and
+    :func:`aggregate_counters` / :func:`render_counters` read it as 0.
+    """
+    return counter if isinstance(counter, dict) else counter.snapshot()
+
+
+def aggregate_counters(section: str, counters: Iterable[Any]) -> dict:
+    """Fold per-location counters into one section's system-wide totals:
+    one entry per column (by its ``total`` key), then the section's
+    ratios, then its breakdown dict."""
+    spec = SECTIONS[section]
+    totals: Dict[str, Any] = {column.total_key: 0 for column in spec.columns}
+    merged: Dict[str, int] = {}
     for counter in counters:
-        totals["req_inserts_sent"] += counter.req_inserts_sent
-        totals["withdrawals_sent"] += counter.withdrawals_sent
-        totals["propagations_suppressed"] += counter.propagations_suppressed
-        totals["uncover_repropagations"] += counter.uncover_repropagations
-        totals["propagated_filters"] += counter.propagated_filters
-    attempts = totals["req_inserts_sent"] + totals["propagations_suppressed"]
-    totals["suppression_rate"] = (
-        totals["propagations_suppressed"] / attempts if attempts else 0.0
-    )
+        values = _snapshot(counter)
+        for column in spec.columns:
+            name = column.total_key
+            totals[name] = column.fold(totals[name], values.get(column.key, 0))
+        if spec.breakdown is not None:
+            field = spec.breakdown[0]
+            if isinstance(counter, dict):
+                per_key = counter.get(field, {})
+            else:
+                per_key = getattr(counter, field)
+            for key, count in per_key.items():
+                merged[key] = merged.get(key, 0) + count
+    for name, numerator, denominators in spec.ratios:
+        denominator = sum(totals[d] for d in denominators)
+        totals[name] = totals[numerator] / denominator if denominator else 0.0
+    if spec.breakdown is not None:
+        totals[spec.breakdown[0]] = merged
     return totals
 
 
-def render_aggregation_summary(
-    named_counters: Iterable[Tuple[str, NodeCounters]],
-    title: str = "Covering aggregation (control plane)",
+def render_counters(
+    section: str,
+    named_counters: Iterable[Tuple[str, Any]],
+    title: Optional[str] = None,
 ) -> str:
-    """Per-location covering-aggregation counters, plus a totals row."""
+    """One section's per-location table plus a TOTAL row (see
+    :class:`Section` for the breakdown footer and sparse layout)."""
+    spec = SECTIONS[section]
+    title = spec.title if title is None else title
     rows: List[List[Any]] = []
-    all_counters: List[NodeCounters] = []
+    all_counters: List[Any] = []
     for name, counter in named_counters:
         all_counters.append(counter)
-        rows.append(
-            [
-                name,
-                counter.filters_held,
-                counter.propagated_filters,
-                counter.req_inserts_sent,
-                counter.propagations_suppressed,
-                counter.withdrawals_sent,
-                counter.uncover_repropagations,
-            ]
-        )
-    totals = aggregate_aggregation_counters(all_counters)
-    rows.append(
-        [
-            "TOTAL",
-            sum(c.filters_held for c in all_counters),
-            totals["propagated_filters"],
-            totals["req_inserts_sent"],
-            totals["propagations_suppressed"],
-            totals["withdrawals_sent"],
-            totals["uncover_repropagations"],
-        ]
-    )
-    table = render_table(
-        [
-            "Location",
-            "Held",
-            "Propagated",
-            "ReqInsert",
-            "Suppressed",
-            "Withdrawn",
-            "Uncovered",
-        ],
-        rows,
-    )
-    return f"{title}\n{table}"
-
-
-def aggregate_reliability_counters(
-    counters: Iterable[NodeCounters],
-) -> dict:
-    """Fold per-node reliable-channel counters into totals."""
-    totals = {"control_retransmits": 0, "control_dups_discarded": 0}
-    for counter in counters:
-        totals["control_retransmits"] += counter.control_retransmits
-        totals["control_dups_discarded"] += counter.control_dups_discarded
-    return totals
-
-
-def render_reliability_summary(
-    named_counters: Iterable[Tuple[str, NodeCounters]],
-    title: str = "Reliable control channel",
-) -> str:
-    """Per-location retransmit / duplicate-discard counters + totals."""
-    rows: List[List[Any]] = []
-    all_counters: List[NodeCounters] = []
-    for name, counter in named_counters:
-        all_counters.append(counter)
-        rows.append(
-            [name, counter.control_retransmits, counter.control_dups_discarded]
-        )
-    totals = aggregate_reliability_counters(all_counters)
-    rows.append(
-        ["TOTAL", totals["control_retransmits"], totals["control_dups_discarded"]]
-    )
-    table = render_table(["Location", "Retransmits", "Dup frames dropped"], rows)
-    return f"{title}\n{table}"
-
-
-def aggregate_flow_counters(
-    counters: Iterable[NodeCounters],
-) -> dict:
-    """Fold per-node flow-control counters into system-wide totals."""
-    totals = {
-        "events_shed": 0,
-        "sheds_by_reason": {},
-        "credits_granted": 0,
-        "credit_stalls": 0,
-        "rate_limited": 0,
-        "overload_transitions": 0,
-    }
-    for counter in counters:
-        totals["events_shed"] += counter.events_shed
-        for reason, count in counter.sheds_by_reason.items():
-            totals["sheds_by_reason"][reason] = (
-                totals["sheds_by_reason"].get(reason, 0) + count
-            )
-        totals["credits_granted"] += counter.credits_granted
-        totals["credit_stalls"] += counter.credit_stalls
-        totals["rate_limited"] += counter.rate_limited
-        totals["overload_transitions"] += counter.overload_transitions
-    return totals
-
-
-def render_flow_summary(
-    named_counters: Iterable[Tuple[str, NodeCounters]],
-    title: str = "Flow control / overload protection",
-) -> str:
-    """Per-location shed/credit/overload counters, plus a totals row.
-
-    The per-reason shed breakdown is appended below the table (reasons
-    sorted by name so the output is deterministic)."""
-    rows: List[List[Any]] = []
-    all_counters: List[NodeCounters] = []
-    for name, counter in named_counters:
-        all_counters.append(counter)
-        rows.append(
-            [
-                name,
-                counter.events_shed,
-                counter.credits_granted,
-                counter.credit_stalls,
-                counter.rate_limited,
-                counter.overload_transitions,
-            ]
-        )
-    totals = aggregate_flow_counters(all_counters)
-    rows.append(
-        [
-            "TOTAL",
-            totals["events_shed"],
-            totals["credits_granted"],
-            totals["credit_stalls"],
-            totals["rate_limited"],
-            totals["overload_transitions"],
-        ]
-    )
-    table = render_table(
-        ["Location", "Shed", "Credits", "Stalls", "Rate-limited", "Overloads"],
-        rows,
-    )
-    out = [title, table]
-    if totals["sheds_by_reason"]:
-        out.append("Sheds by reason:")
-        for reason in sorted(totals["sheds_by_reason"]):
-            out.append(f"  {reason}: {totals['sheds_by_reason'][reason]}")
+        values = _snapshot(counter)
+        row = [values.get(column.key, 0) for column in spec.columns]
+        if not spec.sparse or any(row):
+            rows.append([name] + row)
+    totals = aggregate_counters(section, all_counters)
+    rows.append(["TOTAL"] + [totals[c.total_key] for c in spec.columns])
+    headers = [c.header for c in spec.columns]
+    if spec.sparse:
+        return render_table([title] + headers, rows)
+    out = [title, render_table(["Location"] + headers, rows)]
+    if spec.breakdown is not None and totals[spec.breakdown[0]]:
+        field, label = spec.breakdown
+        out.append(f"{label}:")
+        out.extend(f"  {key}: {totals[field][key]}" for key in sorted(totals[field]))
     return "\n".join(out)
-
-
-def render_offline_drop_summary(
-    named_counters: Iterable[Tuple[str, NodeCounters]],
-    title: str = "Durable offline-buffer drops",
-) -> str:
-    """Per-subscriber durable-buffer drops, grouped by the home broker
-    that shed them.  A durable subscriber that was offline longer than
-    its buffer capacity allows shows up here — the explicit, observable
-    form of what used to be a silent ``popleft``."""
-    rows: List[List[Any]] = []
-    total = 0
-    for name, counter in named_counters:
-        for subscriber in sorted(counter.offline_drops):
-            dropped = counter.offline_drops[subscriber]
-            rows.append([name, subscriber, dropped])
-            total += dropped
-    if not rows:
-        rows = [["(none)", "-", 0]]
-    rows.append(["TOTAL", "", total])
-    table = render_table(["Home broker", "Subscriber", "Dropped"], rows)
-    return f"{title}\n{table}"
 
 
 def render_network_summary(stats: Any, title: str = "Network traffic") -> str:
@@ -572,70 +423,3 @@ def render_series(
         )
         out.append(f"    [{strip}]")
     return "\n".join(out)
-
-
-def _stream_value(counter: Any, name: str) -> int:
-    """Read one flow counter from a NodeCounters *or* a snapshot dict.
-
-    Tolerant by construction: brokers that predate the streams subsystem
-    (older multiprocess worker snapshots) or never installed a flow
-    simply report 0 — no KeyError on absent flow counters.
-    """
-    if isinstance(counter, dict):
-        return counter.get(name, 0)
-    return getattr(counter, name, 0)
-
-
-def aggregate_stream_counters(counters: Iterable[Any]) -> dict:
-    """Fold per-node information-flow counters into system-wide totals."""
-    totals = {
-        "flows_installed": 0,
-        "flow_events_in": 0,
-        "flow_events_out": 0,
-        "flow_windows_dropped": 0,
-        "flow_collapsed_events": 0,
-        "events_published": 0,
-    }
-    for counter in counters:
-        for name in totals:
-            totals[name] += _stream_value(counter, name)
-    return totals
-
-
-def render_stream_summary(
-    named_counters: Iterable[Tuple[str, Any]],
-    title: str = "Information flows",
-) -> str:
-    """Per-broker flow counters plus a totals row.
-
-    Rows for brokers with zero flow activity are elided (most brokers
-    host no flows); the totals row always renders, so a system with no
-    flows at all still produces a well-formed (all-zero) table.
-    """
-    headers = [
-        title,
-        "flows",
-        "events in",
-        "derived out",
-        "windows dropped",
-        "collapsed",
-        "published",
-    ]
-    names = (
-        "flows_installed",
-        "flow_events_in",
-        "flow_events_out",
-        "flow_windows_dropped",
-        "flow_collapsed_events",
-        "events_published",
-    )
-    rows: List[List[Any]] = []
-    all_counters: List[Any] = []
-    for name, counter in named_counters:
-        all_counters.append(counter)
-        values = [_stream_value(counter, field) for field in names]
-        if any(values):
-            rows.append([name] + values)
-    totals = aggregate_stream_counters(all_counters)
-    rows.append(["TOTAL"] + [totals[field] for field in names])
-    return render_table(headers, rows)

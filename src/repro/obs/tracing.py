@@ -19,6 +19,16 @@ Control-plane occurrences record spans with ``trace_id=None``:
 ``channel-reset`` (sender/receiver sides of a channel incarnation bump),
 and wire-level ``drop`` / ``dup`` spans from the fault injector.
 
+Subscription routing records ``trace_id=None`` spans too: ``advertise``
+(a broker learning an advertisement), ``route-covering`` (a join
+redirected to a covering child), ``wildcard-attach`` (a wildcard
+subscription hosted above stage 1), ``subscriber-insert`` (the stored
+weakened filter at the home broker), ``joined`` (at the subscriber:
+home broker and join hops), the covering-aggregation trio
+``propagation-suppressed`` / ``propagation-demoted`` /
+``uncover-repropagate`` (filter and cover), and ``lease-expired``,
+``disconnect`` and ``reconnect`` (durable buffer replayed).
+
 Flow control (see :mod:`repro.flow`) adds three kinds: ``shed`` (an
 event dropped by a bounded queue — carries the reason, and the event's
 trace id when one exists, so a missing delivery is explainable),

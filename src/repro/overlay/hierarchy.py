@@ -15,7 +15,6 @@ from repro.obs.tracing import EventTracer
 from repro.overlay.node import BrokerNode, MatchEngine
 from repro.runtime.base import Executor, Transport
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import TraceRecorder
 
 
 class Hierarchy:
@@ -68,7 +67,6 @@ def build_hierarchy(
     ttl: float = 60.0,
     engine_factory: Callable[[], MatchEngine] = CountingIndex,
     rngs: Optional[RngRegistry] = None,
-    trace: Optional[TraceRecorder] = None,
     link_latency: float = 0.001,
     wildcard_routing: bool = True,
     compact: bool = False,
@@ -110,7 +108,6 @@ def build_hierarchy(
                 ttl=ttl,
                 engine_factory=engine_factory,
                 rng=rngs.stream(f"node/N{stage}.{i + 1}"),
-                trace=trace,
                 wildcard_routing=wildcard_routing,
                 compact=compact,
                 cache=cache,

@@ -73,7 +73,6 @@ from repro.overlay.messages import (
 )
 from repro.runtime.base import Executor, Transport
 from repro.sim.kernel import Process
-from repro.sim.trace import TraceRecorder
 from repro.streams.operators import Emission, FlowRuntime
 from repro.streams.spec import CollapseSpec
 
@@ -128,7 +127,6 @@ class BrokerNode(Process):
         ttl: float = 60.0,
         engine_factory: Callable[[], MatchEngine] = CountingIndex,
         rng: Optional[random.Random] = None,
-        trace: Optional[TraceRecorder] = None,
         expiry_factor: float = DEFAULT_EXPIRY_FACTOR,
         wildcard_routing: bool = True,
         compact: bool = False,
@@ -183,7 +181,6 @@ class BrokerNode(Process):
         self._engine_factory = engine_factory
         self.table: MatchEngine = self._new_engine()
         self.rng = rng or random.Random(0)
-        self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         #: Causal span tracer (shared system-wide; disabled tracer when
         #: observability is off, so every emission site is one flag check).
         self.tracer = tracer if tracer is not None else EventTracer(enabled=False)
@@ -433,10 +430,12 @@ class BrokerNode(Process):
 
     def _on_advertise(self, message: Advertise) -> None:
         changed = self.advertisements.add(message.advertisement)
-        self.trace.record(
-            self.sim.now, "advertise", self.name,
-            event_class=message.advertisement.event_class, changed=changed,
-        )
+        if self.tracer.enabled:
+            self._control_span(
+                "advertise",
+                event_class=message.advertisement.event_class,
+                changed=changed,
+            )
         if changed:
             for child in self.broker_children:
                 self.network.send(self, child, message)
@@ -455,9 +454,8 @@ class BrokerNode(Process):
 
         redirect = self._strongest_covering_child(request.filter)
         if redirect is not None:
-            self.trace.record(
-                self.sim.now, "route-covering", self.name, target=redirect.name
-            )
+            if self.tracer.enabled:
+                self._control_span("route-covering", target=redirect.name)
             self.network.send(
                 self, request.subscriber, JoinAt(redirect, request.subscription_id)
             )
@@ -512,10 +510,10 @@ class BrokerNode(Process):
         top_used = advertisement.association.top_stage_using(attribute)
         target_stage = top_used + 1
         if self.stage == target_stage or (self.is_root and target_stage > self.stage):
-            self.trace.record(
-                self.sim.now, "wildcard-attach", self.name,
-                attribute=attribute, target_stage=target_stage,
-            )
+            if self.tracer.enabled:
+                self._control_span(
+                    "wildcard-attach", attribute=attribute, target_stage=target_stage
+                )
             self._insert_subscriber(request)
         else:
             self._redirect_to_random_child(request)
@@ -544,10 +542,12 @@ class BrokerNode(Process):
             request.subscriber,
             AcceptedAt(self, request.subscription_id, stored),
         )
-        self.trace.record(
-            self.sim.now, "subscriber-insert", self.name,
-            subscriber=request.subscriber.name, filter=str(stored),
-        )
+        if self.tracer.enabled:
+            self._control_span(
+                "subscriber-insert",
+                subscriber=request.subscriber.name,
+                filter=str(stored),
+            )
         if self.aggregate_enabled:
             if newly_known:
                 self._up_insert(stored, request.event_class)
@@ -649,10 +649,10 @@ class BrokerNode(Process):
             link.cover_of[form] = cover
             link.covered.setdefault(cover, {})[form] = None
             self.counters.propagations_suppressed += 1
-            self.trace.record(
-                self.sim.now, "propagation-suppressed", self.name,
-                filter=str(form), cover=str(cover),
-            )
+            if self.tracer.enabled:
+                self._control_span(
+                    "propagation-suppressed", filter=str(form), cover=str(cover)
+                )
         else:
             self._propagate_form(link, form, event_class)
         self._uplinks_changed()
@@ -676,10 +676,10 @@ class BrokerNode(Process):
             link.covered.setdefault(form, {})[other] = None
             self.counters.withdrawals_sent += 1
             self._send_up(Withdraw(other, event_class, self))
-            self.trace.record(
-                self.sim.now, "propagation-demoted", self.name,
-                filter=str(other), cover=str(form),
-            )
+            if self.tracer.enabled:
+                self._control_span(
+                    "propagation-demoted", filter=str(other), cover=str(form)
+                )
 
     def _filter_removed(self, filter_: Filter) -> None:
         """``filter_`` no longer has any destination in the table."""
@@ -741,10 +741,10 @@ class BrokerNode(Process):
                 link.covered.setdefault(new_cover, {})[orphan] = None
             else:
                 self.counters.uncover_repropagations += 1
-                self.trace.record(
-                    self.sim.now, "uncover-repropagate", self.name,
-                    filter=str(orphan), cover=str(form),
-                )
+                if self.tracer.enabled:
+                    self._control_span(
+                        "uncover-repropagate", filter=str(orphan), cover=str(form)
+                    )
                 self._propagate_form(link, orphan, event_class)
         self.counters.withdrawals_sent += 1
         self._send_up(Withdraw(form, event_class, self))
@@ -787,6 +787,13 @@ class BrokerNode(Process):
 
     def _count_retransmits(self, frames: int) -> None:
         self.counters.control_retransmits += frames
+
+    def _control_span(self, kind: str, **details: Any) -> None:
+        """One control-plane span (``trace_id=None``) at this node; callers
+        check ``self.tracer.enabled`` first so no detail is built when off."""
+        self.tracer.span(
+            self.sim.now, kind, self.name, self.stage, details=tuple(details.items())
+        )
 
     def _trace_retransmits(self, epoch: int, frames: Tuple[Sequenced, ...]) -> None:
         if not self.tracer.enabled:
@@ -1068,10 +1075,11 @@ class BrokerNode(Process):
             self.leases.forget(filter_, destination)
             if removed and filter_ not in self.table:
                 self._filter_removed(filter_)
-            self.trace.record(
-                self.sim.now, "lease-expired", self.name,
-                destination=getattr(destination, "name", destination),
-            )
+            if self.tracer.enabled:
+                self._control_span(
+                    "lease-expired",
+                    destination=getattr(destination, "name", destination),
+                )
         for stale in [f for f in self._filter_class if f not in self.table]:
             self._filter_removed(stale)
         # Offline/buffer state for destinations that no longer hold any
@@ -1302,20 +1310,20 @@ class BrokerNode(Process):
         self._offline[sender.name] = (sender, message.durable)
         if message.durable:
             self._buffers.setdefault(sender.name, deque())
-        self.trace.record(
-            self.sim.now, "disconnect", self.name,
-            subscriber=sender.name, durable=message.durable,
-        )
+        if self.tracer.enabled:
+            self._control_span(
+                "disconnect", subscriber=sender.name, durable=message.durable
+            )
 
     def _on_reconnect(self, sender: Process) -> None:
         self._offline.pop(sender.name, None)
         buffered = self._buffers.pop(sender.name, ())
         for publish in buffered:
             self.network.send(self, sender, publish)
-        self.trace.record(
-            self.sim.now, "reconnect", self.name,
-            subscriber=sender.name, replayed=len(buffered),
-        )
+        if self.tracer.enabled:
+            self._control_span(
+                "reconnect", subscriber=sender.name, replayed=len(buffered)
+            )
 
     def _buffer_durable(self, destination: Process, message: Publish) -> None:
         """Buffer one event for an offline durable subscriber, shedding

@@ -39,7 +39,6 @@ from repro.overlay.messages import (
 )
 from repro.runtime.base import Executor, Transport
 from repro.sim.kernel import Process
-from repro.sim.trace import TraceRecorder
 
 #: The handler signature: (typed event object, meta-data, subscription).
 Handler = Callable[[Any, Any, Subscription], None]
@@ -115,7 +114,6 @@ class SubscriberRuntime(Process):
         name: str,
         root: Process,
         ttl: float = 60.0,
-        trace: Optional[TraceRecorder] = None,
         reliable: bool = True,
         tracer: Optional[EventTracer] = None,
         flow: Optional[FlowConfig] = None,
@@ -132,7 +130,6 @@ class SubscriberRuntime(Process):
         # Renewal restoring a filter and an Unsubscribe removing it).
         # Keyed by the home's *name* — the stable identity — not id().
         self._control_out: Dict[str, ReliableSender] = {}
-        self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         #: Causal span tracer (shared system-wide when observability is on).
         self.tracer = tracer if tracer is not None else EventTracer(enabled=False)
         self.counters = NodeCounters()
@@ -405,10 +402,17 @@ class SubscriberRuntime(Process):
             if state is not None:
                 state.home = message.node
                 state.stored_filter = message.stored_filter
-                self.trace.record(
-                    self.sim.now, "joined", self.name,
-                    home=message.node.name, hops=state.join_hops,
-                )
+                if self.tracer.enabled:
+                    self.tracer.span(
+                        self.sim.now,
+                        "joined",
+                        self.name,
+                        SUBSCRIBER_STAGE,
+                        details=(
+                            ("home", message.node.name),
+                            ("hops", state.join_hops),
+                        ),
+                    )
         elif isinstance(message, Ack):
             channel = self._control_out.get(sender.name)
             if channel is not None:

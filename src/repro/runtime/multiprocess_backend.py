@@ -834,19 +834,12 @@ class _BrokerWorker:
         await self._control_loop(reader, writer)
 
     def _build_node(self) -> Any:
-        from repro.filters.compiled import CompiledMatchEngine
-        from repro.filters.index import CountingIndex
-        from repro.filters.table import FilterTable
+        from repro.filters import engine_class
         from repro.overlay.node import BrokerNode
         from repro.sim.rng import RngRegistry
 
         spec = self.spec
         system = spec.system
-        engine_factory = {
-            "index": CountingIndex,
-            "table": FilterTable,
-            "compiled": CompiledMatchEngine,
-        }[system.engine]
         restoring = spec.incarnation_base > 0
         node = BrokerNode(
             self.runtime,
@@ -854,7 +847,7 @@ class _BrokerWorker:
             name=spec.name,
             stage=spec.stage,
             ttl=system.ttl,
-            engine_factory=engine_factory,
+            engine_factory=engine_class(system.engine),
             rng=RngRegistry(system.seed).stream(f"node/{spec.name}"),
             wildcard_routing=system.wildcard_routing,
             compact=system.compact,

@@ -1,9 +1,13 @@
 """Unit tests for the centralized baseline (§2.1)."""
 
+import pytest
+
 from repro.baselines.centralized import CentralizedSystem
 from repro.core.advertisement import Advertisement
+from repro.core.engine import MultiStageEventSystem
 from repro.core.stages import AttributeStageAssociation
 from repro.events.base import PropertyEvent
+from repro.filters import CompiledMatchEngine
 
 ADV = Advertisement(
     "Stock",
@@ -117,3 +121,16 @@ def test_table_engine_variant():
     publisher.publish(Quote("A", 1.0), event_class="Stock")
     system.drain()
     assert got == [1]
+
+
+def test_compiled_engine_is_honoured():
+    system = CentralizedSystem(engine="compiled")
+    assert isinstance(system.server.table, CompiledMatchEngine)
+
+
+def test_unknown_engine_rejected_like_the_overlay():
+    with pytest.raises(ValueError) as central:
+        CentralizedSystem(engine="bogus")
+    with pytest.raises(ValueError) as overlay:
+        MultiStageEventSystem(engine="bogus")
+    assert str(central.value) == str(overlay.value)

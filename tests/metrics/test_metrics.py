@@ -11,6 +11,22 @@ from repro.metrics.matching import (
 )
 
 
+SNAPSHOT_KEYS = """
+    events_received events_matched events_forwarded events_delivered
+    filter_evaluations filters_held max_filters_held control_messages
+    cache_hits cache_misses cache_invalidations batches batched_events
+    max_batch_size req_inserts_sent withdrawals_sent
+    propagations_suppressed uncover_repropagations propagated_filters
+    control_retransmits control_dups_discarded events_shed
+    credits_granted credit_stalls rate_limited overload_transitions
+    events_logged replay_events_sent replay_dupes_discarded catchup_taps
+    catchup_delivered credit_gap_grants events_matched_batch
+    compile_rebuilds residual_evaluations flows_installed flow_events_in
+    flow_events_out flow_windows_dropped flow_collapsed_events
+    events_published bytes_received
+""".split()
+
+
 def make_counters(received=0, matched=0, filters=0):
     counters = NodeCounters()
     counters.set_filters_held(filters)
@@ -43,6 +59,9 @@ class TestCounters:
         assert snap["events_received"] == 4
         assert snap["events_matched"] == 2
         assert snap["filters_held"] == 3
+        # Every int counter, in declaration order, with the cache stats
+        # expanded in place; the per-key dict counters are left out.
+        assert list(snap) == SNAPSHOT_KEYS
 
 
 class TestLoadComplexity:

@@ -1,4 +1,4 @@
-"""Trace-path tests: the observable protocol events of a traced run."""
+"""Trace-path tests: the control-plane spans of a traced run."""
 
 from repro.core.engine import MultiStageEventSystem
 
@@ -12,7 +12,7 @@ class Quote:
 
 
 def traced_system():
-    system = MultiStageEventSystem(stage_sizes=(3, 1), seed=51, trace=True)
+    system = MultiStageEventSystem(stage_sizes=(3, 1), seed=51, tracing=True)
     system.advertise("Quote", schema=("class", "symbol"))
     return system
 
@@ -20,8 +20,8 @@ def traced_system():
 def test_advertisements_are_traced_per_node():
     system = traced_system()
     system.drain()
-    records = system.trace.query(category="advertise")
-    assert len(records) == len(system.hierarchy.nodes())
+    spans = system.tracer.kinds("advertise")
+    assert len(spans) == len(system.hierarchy.nodes())
 
 
 def test_join_path_is_traced():
@@ -29,11 +29,11 @@ def test_join_path_is_traced():
     subscriber = system.create_subscriber()
     system.subscribe(subscriber, 'class = "Quote" and symbol = "A"')
     system.drain()
-    inserts = system.trace.query(category="subscriber-insert")
+    inserts = system.tracer.kinds("subscriber-insert")
     assert len(inserts) == 1
-    joins = system.trace.query(category="joined")
+    joins = system.tracer.kinds("joined")
     assert len(joins) == 1
-    assert joins[0].details["home"].startswith("N1.")
+    assert joins[0].detail("home").startswith("N1.")
 
 
 def test_covering_redirects_are_traced():
@@ -43,11 +43,11 @@ def test_covering_redirects_are_traced():
         system.subscribe(subscriber, 'class = "Quote" and symbol = "HOT"')
         system.drain()
     # The second similar subscription follows a stored covering filter.
-    assert system.trace.count(category="route-covering") >= 1
+    assert len(system.tracer.kinds("route-covering")) >= 1
 
 
 def test_lease_expiry_is_traced():
-    system = MultiStageEventSystem(stage_sizes=(2, 1), seed=52, ttl=5.0, trace=True)
+    system = MultiStageEventSystem(stage_sizes=(2, 1), seed=52, ttl=5.0, tracing=True)
     system.advertise("Quote", schema=("class", "symbol"))
     subscriber = system.create_subscriber()
     system.subscribe(subscriber, 'class = "Quote" and symbol = "A"')
@@ -55,7 +55,7 @@ def test_lease_expiry_is_traced():
     system.start_maintenance()
     subscriber.stop_maintenance()
     system.run_for(5.0 * 12)
-    assert system.trace.count(category="lease-expired") >= 1
+    assert len(system.tracer.kinds("lease-expired")) >= 1
     system.stop_maintenance()
 
 
@@ -68,7 +68,7 @@ def test_disconnect_reconnect_traced():
     system.drain()
     subscriber.reconnect()
     system.drain()
-    assert system.trace.count(category="disconnect") == 1
-    reconnects = system.trace.query(category="reconnect")
+    assert len(system.tracer.kinds("disconnect")) == 1
+    reconnects = system.tracer.kinds("reconnect")
     assert len(reconnects) == 1
-    assert reconnects[0].details["replayed"] == 0
+    assert reconnects[0].detail("replayed") == 0

@@ -23,7 +23,7 @@ import pytest
 from repro.core.engine import MultiStageEventSystem
 from repro.filters.filter import Filter
 from repro.log import LogConfig, dropped_window_excusals
-from repro.metrics.report import aggregate_stream_counters, render_stream_summary
+from repro.metrics.report import aggregate_counters, render_counters
 from repro.workloads.telemetry import (
     ROLLUP_EVENT_CLASS,
     TELEMETRY_EVENT_CLASS,
@@ -272,9 +272,9 @@ class TestMetricsTolerance:
         # Snapshot dicts from pre-flows sessions carry no flow counters
         # at all; the stream report must render zeros, not KeyError.
         bare = {"events_processed": 7}
-        table = render_stream_summary([("N1.0", bare)])
+        table = render_counters("stream", [("N1.0", bare)])
         assert "TOTAL" in table
-        totals = aggregate_stream_counters([bare, {"flow_events_in": 3}])
+        totals = aggregate_counters("stream", [bare, {"flow_events_in": 3}])
         assert totals["flow_events_in"] == 3
         assert totals["flows_installed"] == 0
 
@@ -285,7 +285,7 @@ class TestMetricsTolerance:
         publisher = system.create_publisher("feed")
         publish_windows(system, workload, publisher, 1)
         named = [(n.name, n.counters) for n in system.hierarchy.nodes()]
-        table = render_stream_summary(named)
+        table = render_counters("stream", named)
         assert system.root.name in table
         snapshot = system.root.counters.snapshot()
         assert snapshot["flow_events_out"] == len(workload.regions)
