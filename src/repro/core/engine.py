@@ -83,8 +83,6 @@ class MultiStageEventSystem:
         link_latency: float = 0.001,
         wildcard_routing: bool = True,
         compact: bool = False,
-        cache: bool = True,
-        batch: bool = True,
         aggregate: bool = True,
         reliable: bool = True,
         tracing: bool = False,
@@ -155,8 +153,6 @@ class MultiStageEventSystem:
                     link_latency=link_latency,
                     wildcard_routing=wildcard_routing,
                     compact=compact,
-                    cache=cache,
-                    batch=batch,
                     aggregate=aggregate,
                     reliable=reliable,
                     service_rate=service_rate,
@@ -176,8 +172,6 @@ class MultiStageEventSystem:
                 link_latency=link_latency,
                 wildcard_routing=wildcard_routing,
                 compact=compact,
-                cache=cache,
-                batch=batch,
                 aggregate=aggregate,
                 reliable=reliable,
                 tracer=self.tracer,

@@ -44,10 +44,6 @@ class ScenarioConfig:
     wildcard_routing: bool = True
     #: Compact broker tables with covering merges (§4 g1-collapse).
     compact: bool = False
-    #: Routing-decision cache on broker match engines (hot-path memo).
-    cache: bool = True
-    #: Batched dispatch: nodes drain runs of publishes per wakeup.
-    batch: bool = True
     #: Covering-based subscription aggregation on the broker uplinks
     #: (suppress propagation of covered filters; §4, Prop. 1).
     aggregate: bool = True
@@ -168,8 +164,6 @@ def run_bibliographic(config: Optional[ScenarioConfig] = None) -> ScenarioResult
         engine=config.engine,
         wildcard_routing=config.wildcard_routing,
         compact=config.compact,
-        cache=config.cache,
-        batch=config.batch,
         aggregate=config.aggregate,
     )
     workload = BibliographicWorkload(

@@ -19,7 +19,7 @@ Policies:
 """
 
 from collections import deque
-from typing import Any, Callable, Deque, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Deque, Iterator, List, Optional, Sequence, Tuple
 
 #: The recognised shedding policies.
 POLICIES = ("drop_tail", "drop_oldest", "priority_by_selectivity")
@@ -90,6 +90,23 @@ class BoundedQueue:
         shed = self._pop_index(victim_index)
         self._append(item, arriving)
         return True, [shed]
+
+    def extend(
+        self, items: Sequence[Any], capacity: Optional[int] = None
+    ) -> List[Any]:
+        """:meth:`offer` each item in order; returns everything shed.
+
+        An unbounded queue without priorities takes the run in one
+        ``deque.extend`` (the admission hot path of an uncontrolled
+        broker).
+        """
+        if capacity is None and self.capacity is None and self._priorities is None:
+            self._items.extend(items)
+            return []
+        shed: List[Any] = []
+        for item in items:
+            shed.extend(self.offer(item, capacity)[1])
+        return shed
 
     def popleft(self) -> Any:
         item = self._items.popleft()

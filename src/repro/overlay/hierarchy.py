@@ -70,8 +70,6 @@ def build_hierarchy(
     link_latency: float = 0.001,
     wildcard_routing: bool = True,
     compact: bool = False,
-    cache: bool = True,
-    batch: bool = True,
     aggregate: bool = True,
     reliable: bool = True,
     tracer: Optional[EventTracer] = None,
@@ -110,8 +108,6 @@ def build_hierarchy(
                 rng=rngs.stream(f"node/N{stage}.{i + 1}"),
                 wildcard_routing=wildcard_routing,
                 compact=compact,
-                cache=cache,
-                batch=batch,
                 aggregate=aggregate,
                 reliable=reliable,
                 tracer=tracer,

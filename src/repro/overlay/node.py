@@ -131,8 +131,6 @@ class BrokerNode(Process):
         wildcard_routing: bool = True,
         compact: bool = False,
         offline_buffer_limit: int = 1000,
-        cache: bool = True,
-        batch: bool = True,
         aggregate: bool = True,
         reliable: bool = True,
         tracer: Optional[EventTracer] = None,
@@ -157,10 +155,6 @@ class BrokerNode(Process):
         self.leases = LeaseTable(ttl, expiry_factor)
         self.advertisements = AdvertisementRegistry()
         self.counters = NodeCounters()
-        #: Routing-decision cache (per-node match memo) toggle.
-        self.cache_enabled = cache
-        #: Batched dispatch (runs of events per wakeup) toggle.
-        self.batch_enabled = batch
         #: Covering-based subscription aggregation toggle (§4, Prop. 1).
         self.aggregate_enabled = aggregate
         #: Acked, sequence-numbered control channel toggle.
@@ -179,7 +173,7 @@ class BrokerNode(Process):
         self._peer_incarnations: Dict[str, int] = {}
         self._was_maintained = False
         self._engine_factory = engine_factory
-        self.table: MatchEngine = self._new_engine()
+        self.table = self._new_engine()
         self.rng = rng or random.Random(0)
         #: Causal span tracer (shared system-wide; disabled tracer when
         #: observability is off, so every emission site is one flag check).
@@ -200,35 +194,22 @@ class BrokerNode(Process):
         self._offline: Dict[str, Tuple[Process, bool]] = {}
         self._buffers: Dict[str, Deque[Publish]] = {}
         # Compacted match engine, rebuilt lazily after table changes.
-        self._compacted: Optional[MatchEngine] = None
+        self._compacted: Optional[CachedMatchEngine] = None
         self._compacted_dirty = True
-        # Batched dispatch: same-instant publishes queue here and drain in
-        # one deferred wakeup (or earlier, if a control message arrives).
-        self._publish_queue: Deque[Publish] = deque()
-        self._drain_handle: Optional[Any] = None
-        # Tracing sidecar for the publish queue: (sender name, arrival
-        # time) per queued publish.  Only populated while the tracer is
-        # enabled — the hot path never touches it otherwise.
-        self._publish_meta: Deque[Tuple[str, float]] = deque()
         # ---- Flow control / overload protection (PR 5) -----------------
-        #: Flow-control knobs (None = uncontrolled, the legacy data path).
+        #: Flow-control knobs (None = uncontrolled: no credits, no shedding).
         self.flow = flow
         #: Modelled processing capacity in events per simulated second
-        #: (None = infinitely fast, the legacy zero-cost model).
+        #: (None = infinitely fast, the zero-cost model).
         self.service_rate = service_rate
         self.service_batch = service_batch
-        # Either knob moves event traffic onto the managed data path:
-        # a bounded inbound queue drained by an explicit service loop.
-        # Note the semantic difference from the legacy path: control
-        # messages no longer flush queued events first (a finite-speed
-        # broker cannot "catch up" instantaneously), so managed runs are
-        # an opt-in, not a bit-identical superset of the legacy schedule.
-        self._flow_managed = flow is not None or service_rate is not None
+        # The one admission queue (unbounded when ``flow`` is None).
         self._inbound = BoundedQueue(
             flow.queue_capacity if flow is not None else None,
             flow.policy if flow is not None else "drop_tail",
             priority=self._entry_priority,
         )
+        self._drain_handle: Optional[Any] = None
         self._busy_until = 0.0
         self._drain_paused = False
         #: Events blocked waiting for downstream credits, per child name.
@@ -293,17 +274,14 @@ class BrokerNode(Process):
         #: bounded so a mutually-recursive pair cannot livelock.
         self._flow_depth = 0
 
-    def _new_engine(self) -> MatchEngine:
-        """A fresh match engine, cache-wrapped when caching is on.
+    def _new_engine(self) -> CachedMatchEngine:
+        """A fresh match engine wrapped in the routing-decision cache.
 
         The cache stats object is shared with this node's counters so
         hit/miss/invalidation totals survive compaction rebuilds (which
         construct a fresh wrapped engine each time).
         """
-        engine = self._engine_factory()
-        if self.cache_enabled:
-            engine = CachedMatchEngine(engine, stats=self.counters.cache)
-        return engine
+        return CachedMatchEngine(self._engine_factory(), stats=self.counters.cache)
 
     # ------------------------------------------------------------------
     # Topology wiring (done by hierarchy builder / engine)
@@ -402,9 +380,9 @@ class BrokerNode(Process):
         elif isinstance(message, Advertise):
             self._on_advertise(message)
         elif isinstance(message, Unsubscribe):
-            self._on_unsubscribe(message)
+            self._drop_pair(message.filter, message.subscriber)
         elif isinstance(message, Withdraw):
-            self._on_withdraw(message)
+            self._drop_pair(message.filter, message.child)
         elif isinstance(message, Disconnect):
             self._on_disconnect(message, sender)
         elif isinstance(message, Reconnect):
@@ -592,21 +570,14 @@ class BrokerNode(Process):
             else:
                 self._propagate_up(filter_, event_class)
 
-    def _on_unsubscribe(self, message: Unsubscribe) -> None:
-        """Explicit unsubscription: ``message.filter`` is the *stored*
-        (stage-weakened) filter the subscriber learned from accepted-At."""
-        if self.table.remove(message.filter, message.subscriber):
-            self.leases.forget(message.filter, message.subscriber)
-            if message.filter not in self.table:
-                self._filter_removed(message.filter)
-            self._table_changed()
-
-    def _on_withdraw(self, message: Withdraw) -> None:
-        """A child retracted a propagated filter (covering aggregation)."""
-        if self.table.remove(message.filter, message.child):
-            self.leases.forget(message.filter, message.child)
-            if message.filter not in self.table:
-                self._filter_removed(message.filter)
+    def _drop_pair(self, filter_: Filter, destination: Process) -> None:
+        """Remove one stored pair: an explicit unsubscription (the
+        subscriber's stage-weakened filter from accepted-At) or a child
+        retracting a propagated filter (covering aggregation)."""
+        if self.table.remove(filter_, destination):
+            self.leases.forget(filter_, destination)
+            if filter_ not in self.table:
+                self._filter_removed(filter_)
             self._table_changed()
 
     # ------------------------------------------------------------------
@@ -889,8 +860,6 @@ class BrokerNode(Process):
         self._filter_class.clear()
         self._offline.clear()
         self._buffers.clear()
-        self._publish_queue.clear()
-        self._publish_meta.clear()
         if self._drain_handle is not None:
             self._drain_handle.cancel()
             self._drain_handle = None
@@ -1344,7 +1313,7 @@ class BrokerNode(Process):
         if not self.compact:
             self.counters.set_filters_held(len(self.table))
 
-    def _match_engine(self) -> MatchEngine:
+    def _match_engine(self) -> CachedMatchEngine:
         """The engine events are matched against.
 
         Without compaction this is the authoritative table.  With
@@ -1359,10 +1328,7 @@ class BrokerNode(Process):
         if self._compacted_dirty or self._compacted is None:
             # A rebuild discards the previous compacted engine together
             # with its memoized decisions: account the flush.
-            if (
-                isinstance(self._compacted, CachedMatchEngine)
-                and self._compacted.cached_decisions()
-            ):
+            if self._compacted is not None and self._compacted.cached_decisions():
                 self.counters.cache.invalidations += 1
             groups: Dict[Tuple[int, ...], Tuple[List[Filter], Tuple]] = {}
             for filter_, ids in self.table.entries():
@@ -1384,51 +1350,38 @@ class BrokerNode(Process):
     # ------------------------------------------------------------------
 
     def _accept_publishes(self, publishes: Sequence[Publish], sender: Process) -> None:
-        """Entry point for event traffic (single messages or batches).
-
-        With batching on, publishes queue up and a single drain wakeup —
-        deferred to the end of the current instant — processes the whole
-        run; control messages arriving in between flush the queue first,
-        so processing order is identical to the unbatched schedule.
-
-        With flow control or a service rate configured, admission instead
-        goes through the bounded inbound queue and the managed service
-        loop (see the flow-control section below).
-        """
-        if self._flow_managed:
-            self._accept_managed(publishes, sender)
-            return
-        if not self.batch_enabled:
-            metas = None
-            if self.tracer.enabled:
-                metas = tuple((sender.name, self.sim.now) for _ in publishes)
-            self._process_batch(tuple(publishes), metas)
-            return
-        self._publish_queue.extend(publishes)
-        if self.tracer.enabled:
-            now = self.sim.now
-            self._publish_meta.extend((sender.name, now) for _ in publishes)
-        if self._drain_handle is None:
-            self._drain_handle = self.call_soon(self._drain_publishes)
-
-    def _drain_publishes(self) -> None:
-        self._drain_handle = None
-        self._flush_publishes()
+        """The one admission path for event traffic: each publish joins
+        the inbound queue as a ``(publish, source name, arrival time)``
+        entry for the drain wakeup (see the flow-control section below)."""
+        source = sender.name
+        now = self.sim.now
+        capacity = None
+        if self.flow is not None:
+            self._event_sources[source] = sender
+            if self.overload_detector.overloaded:
+                shrunk = self.flow.queue_capacity * self.flow.overload_capacity_factor
+                capacity = max(1, int(shrunk))
+        shed = self._inbound.extend(
+            [(publish, source, now) for publish in publishes], capacity
+        )
+        if shed:
+            self._shed_entries(shed, "queue-overflow")
+        self._schedule_drain()
 
     def _flush_publishes(self) -> None:
-        if self._flow_managed:
-            # Managed mode: events wait in the bounded inbound queue for
-            # the service loop; control messages cannot flush them early
-            # (a finite-speed broker has no instantaneous catch-up).
-            return
-        if not self._publish_queue:
-            return
-        batch = tuple(self._publish_queue)
-        self._publish_queue.clear()
+        """Serve the queued events ahead of a table mutation, so each is
+        matched against the table it arrived to (the one-event-at-a-time
+        order).  Only an instantaneous broker flushes: a finite-speed or
+        flow-managed one has no instantaneous catch-up.  The pending
+        drain wakeup stays armed (it finds the queue empty)."""
+        if self.flow is None and self.service_rate is None and self._inbound:
+            self._serve(self._inbound.drain())
+
+    def _serve(self, entries: Sequence[Tuple[Publish, str, float]]) -> None:
+        batch = tuple([entry[0] for entry in entries])
         metas = None
-        if self._publish_meta:
-            metas = tuple(self._publish_meta)
-            self._publish_meta.clear()
+        if self.tracer.enabled:
+            metas = tuple([(entry[1], entry[2]) for entry in entries])
         self._process_batch(batch, metas)
 
     def _process_batch(
@@ -1451,7 +1404,7 @@ class BrokerNode(Process):
                 self._replayer.tap_batch(batch)
         engine = self._match_engine()
         tracing = self.tracer.enabled
-        raw = engine.inner if isinstance(engine, CachedMatchEngine) else engine
+        raw = engine.inner
         # Whole-batch evaluation when the underlying engine has a native
         # match_batch (the compiled bitmap engine): one dirty recompile
         # and one structure pass for the entire run.  The tracing path
@@ -1509,12 +1462,7 @@ class BrokerNode(Process):
                     src, arrived = metas[position]
                 else:
                     src, arrived = "?", self.sim.now
-                if not self.cache_enabled:
-                    cache = "off"
-                elif self.counters.cache.hits > hits_before:
-                    cache = "hit"
-                else:
-                    cache = "miss"
+                cache = "hit" if self.counters.cache.hits > hits_before else "miss"
                 self.tracer.span(
                     self.sim.now,
                     "hop",
@@ -1711,10 +1659,10 @@ class BrokerNode(Process):
     # Flow control, backpressure, and overload protection (see repro.flow)
     # ------------------------------------------------------------------
     #
-    # Managed data path: arriving events are admitted into a bounded
-    # inbound queue and drained by an explicit service loop (modelling a
-    # finite-speed broker when ``service_rate`` is set).  With ``flow``
-    # set, three credit loops bound every queue in the system:
+    # Arriving events wait in the inbound queue for the drain wakeup (a
+    # finite-speed broker serves ``service_batch`` per wakeup).  With
+    # ``flow`` set the queue is bounded, and three credit loops bound
+    # every queue in the system:
     #
     # - upstream grants: this node grants one credit per *processed* (or
     #   shed) event back to the event's source — to the parent over the
@@ -1734,34 +1682,12 @@ class BrokerNode(Process):
     #   shedding instead of unbounded queueing.
 
     def queue_depth(self) -> int:
-        """Events queued at this broker (inbound + outbound + legacy
-        publish queue) — the public accessor the sampler and overload
-        detector observe."""
-        depth = len(self._publish_queue) + len(self._inbound)
+        """Events queued at this broker (inbound + outbound) — the public
+        accessor the sampler and overload detector observe."""
+        depth = len(self._inbound)
         for queue in self._outbound.values():
             depth += len(queue)
         return depth
-
-    def _accept_managed(self, publishes: Sequence[Publish], sender: Process) -> None:
-        """Admit arriving events into the bounded inbound queue."""
-        now = self.sim.now
-        source = sender.name
-        self._event_sources[source] = sender
-        capacity = None
-        if (
-            self.overload_detector is not None
-            and self.overload_detector.overloaded
-        ):
-            capacity = max(
-                1, int(self.flow.queue_capacity * self.flow.overload_capacity_factor)
-            )
-        shed_entries: List[Tuple[Publish, str, float]] = []
-        for publish in publishes:
-            accepted, shed = self._inbound.offer((publish, source, now), capacity)
-            shed_entries.extend(shed)
-        if shed_entries:
-            self._shed_entries(shed_entries, "queue-overflow")
-        self._schedule_managed_drain()
 
     def _entry_priority(self, entry: Tuple[Publish, str, float]) -> float:
         return self._shed_priority(entry[0])
@@ -1779,53 +1705,53 @@ class BrokerNode(Process):
             sum(count for form, count in link.forms.items() if form.matches(metadata))
         )
 
-    def _schedule_managed_drain(self) -> None:
+    def _schedule_drain(self) -> None:
         if self._drain_handle is not None or self._drain_paused:
             return
         if not self._inbound:
             return
         if self.service_rate is None:
-            self._drain_handle = self.call_soon(self._drain_managed)
+            self._drain_handle = self.call_soon(self._drain)
         else:
             self._drain_handle = self.call_at(
-                max(self.sim.now, self._busy_until), self._drain_managed
+                max(self.sim.now, self._busy_until), self._drain
             )
 
-    def _drain_managed(self) -> None:
+    def _drain(self) -> None:
         self._drain_handle = None
         if self._outbound_blocked():
             # Head-of-line backpressure: a credit-starved downstream link
             # pauses the whole service loop until grants arrive.
             self._drain_paused = True
             return
-        if not self._inbound:
-            return
         if self.service_rate is None:
-            count = len(self._inbound)
+            entries = self._inbound.drain()
         else:
             count = min(self.service_batch, len(self._inbound))
-        entries = [self._inbound.popleft() for _ in range(count)]
-        batch = tuple(entry[0] for entry in entries)
-        metas = None
-        if self.tracer.enabled:
-            metas = tuple((entry[1], entry[2]) for entry in entries)
-        self._process_batch(batch, metas)
+            entries = [self._inbound.popleft() for _ in range(count)]
+        if not entries:
+            return
+        self._serve(entries)
         if self.service_rate is not None:
-            self._busy_until = self.sim.now + count / self.service_rate
+            self._busy_until = self.sim.now + len(entries) / self.service_rate
         if self.flow is not None:
             self._grant_for_entries(entries)
         if self._outbound_blocked():
             self._drain_paused = True
-            return
-        self._schedule_managed_drain()
+        elif self.service_rate is not None:
+            # An instantaneous broker took the whole queue; a finite-speed
+            # one serves the rest in its next slot.
+            self._schedule_drain()
 
     def _outbound_blocked(self) -> bool:
-        return any(len(queue) for queue in self._outbound.values())
+        return bool(self._outbound) and any(
+            len(queue) for queue in self._outbound.values()
+        )
 
     def _maybe_resume_drain(self) -> None:
         if self._drain_paused and not self._outbound_blocked():
             self._drain_paused = False
-            self._schedule_managed_drain()
+            self._schedule_drain()
 
     # -- upstream credit grants ----------------------------------------
 
@@ -1961,13 +1887,8 @@ class BrokerNode(Process):
         self.counters.on_shed(reason, len(entries))
         for publish, source, _ in entries:
             self._shed_span(publish, reason, peer=source)
-        if self.flow is None:
-            return
-        per_source: Dict[str, int] = {}
-        for _, source, _ in entries:
-            per_source[source] = per_source.get(source, 0) + 1
-        for source, count in per_source.items():
-            self._grant_credits(source, count)
+        if self.flow is not None:
+            self._grant_for_entries(entries)
 
     def _shed_publishes(
         self, publishes: Sequence[Publish], reason: str, peer: Optional[str] = None

@@ -56,6 +56,10 @@ from repro.sim.network import Link, NetworkStats, _default_sizer
 
 FRAME_VERSION = 1
 _HEADER_SIZE = 4
+#: Largest frame (header included) an endpoint reads.  The largest sent
+#: are ~3 KB in the tier-1 tests and ~180 KB in the stocks-tcp benchmark
+#: (its 1500-event burst coalesced into one ``PublishBatch``).
+MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 # Endpoint FSM states.
 INIT = "init"
@@ -105,16 +109,33 @@ def encode_frame(src_name: str, message: Any) -> bytes:
     ).encode("utf-8")
 
 
+class FrameDecodeError(ValueError):
+    """A frame payload that did not decode; ``src`` is the sender its JSON
+    envelope names when only the body failed, else None."""
+
+    def __init__(self, reason: str, src: Optional[str] = None):
+        super().__init__(reason)
+        self.src = src
+
+
 def decode_frame(
     payload: bytes, resolve: Callable[[str], Process]
 ) -> Tuple[str, Any]:
-    """Parse a frame payload back into ``(sender name, message)``."""
-    obj = json.loads(payload.decode("utf-8"))
-    if obj.get("v") != FRAME_VERSION:
-        raise ValueError(f"unsupported frame version {obj.get('v')!r}")
-    buffer = io.BytesIO(base64.b64decode(obj["body"]))
-    message = _ProcessRefUnpickler(buffer, resolve).load()
-    return obj["src"], message
+    """Parse a frame payload back into ``(sender name, message)``;
+    raises :class:`FrameDecodeError` on malformed input."""
+    try:
+        obj = json.loads(payload.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON
+        raise FrameDecodeError(f"unparseable envelope: {exc!r}") from exc
+    src = obj.get("src") if isinstance(obj, dict) else None
+    if not isinstance(src, str) or obj.get("v") != FRAME_VERSION:
+        raise FrameDecodeError(f"not a version-{FRAME_VERSION} frame envelope")
+    try:
+        buffer = io.BytesIO(base64.b64decode(obj["body"]))
+        message = _ProcessRefUnpickler(buffer, resolve).load()
+    except Exception as exc:
+        raise FrameDecodeError(f"undecodable body: {exc!r}", src) from exc
+    return src, message
 
 
 # ----------------------------------------------------------------------
@@ -642,6 +663,15 @@ class TcpTransport:
             while True:
                 header = await reader.readexactly(_HEADER_SIZE)
                 size = int.from_bytes(header, "big")
+                if not _HEADER_SIZE <= size <= MAX_FRAME_BYTES:
+                    # Nothing after a bad header can be framed: close
+                    # this connection (only this one).
+                    self.errors.append(
+                        f"frame header for {endpoint.process.name}: size "
+                        f"{size} outside [{_HEADER_SIZE}, {MAX_FRAME_BYTES}]"
+                    )
+                    self.stats.record_drop(None, _HEADER_SIZE)
+                    return
                 payload = await reader.readexactly(size - _HEADER_SIZE)
                 self._dispatch(endpoint, payload, size)
         except (asyncio.IncompleteReadError, ConnectionError, OSError):
@@ -660,19 +690,15 @@ class TcpTransport:
         process = endpoint.process
         try:
             src_name, message = decode_frame(payload, self.lookup)
-        except Exception as exc:  # codec failure: surface, drop the frame
-            # The sender is unknowable without a decoded frame; settle an
-            # arbitrary in-flight entry bound for this endpoint so the
-            # occupancy registry stays consistent with the counter.
-            for (src, dst), wire in self._wire.items():
-                if dst == process.name and wire:
-                    self._settle(src, dst)
-                    break
-            else:
-                self.stats.record_arrival()
-                self.runtime._inflight -= 1
-            self.errors.append(f"decode for {process.name}: {exc!r}")
-            self.stats.record_drop(None, size)
+        except FrameDecodeError as exc:  # surface, drop the frame
+            # Settle only an in-flight entry of the pair the envelope
+            # names: a frame from a foreign connection never entered the
+            # occupancy registry.
+            link = None
+            if exc.src is not None and self._settle(exc.src, process.name):
+                link = self._links.get((exc.src, process.name))
+            self.errors.append(f"decode for {process.name}: {exc}")
+            self.stats.record_drop(link, size)
             return
         settled = self._settle(src_name, process.name)
         link = self._links.get((src_name, process.name))

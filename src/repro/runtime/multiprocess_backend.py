@@ -111,8 +111,6 @@ class SystemSpec:
     link_latency: float = 0.001
     wildcard_routing: bool = True
     compact: bool = False
-    cache: bool = True
-    batch: bool = True
     aggregate: bool = True
     reliable: bool = True
     service_rate: Optional[float] = None
@@ -851,8 +849,6 @@ class _BrokerWorker:
             rng=RngRegistry(system.seed).stream(f"node/{spec.name}"),
             wildcard_routing=system.wildcard_routing,
             compact=system.compact,
-            cache=system.cache,
-            batch=system.batch,
             aggregate=system.aggregate,
             reliable=system.reliable,
             tracer=EventTracer(enabled=False),

@@ -76,8 +76,12 @@ class TestDeliveryEquivalence:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_multistage_matches_the_oracle(self, seed):
         workload, filters, records = make_workload(seed)
-        _, deliveries = run_multistage(workload, filters, records, seed=seed)
+        system, deliveries = run_multistage(workload, filters, records, seed=seed)
         assert deliveries == oracle_deliveries(filters, records)
+        # ...with the routing cache and batched dispatch engaged.
+        counters = [node.counters for node in system.hierarchy.nodes()]
+        assert sum(c.cache.hits for c in counters) > 0
+        assert max(c.max_batch_size for c in counters) > 1
 
     @pytest.mark.parametrize("seed", [4, 5])
     def test_with_wildcard_subscriptions(self, seed):

@@ -29,11 +29,11 @@ INVARIANT_FIELDS = (
 )
 
 
-def run(seed, engine, cache=True, batch=True):
+def run(seed, engine, tracing=False):
     rngs = RngRegistry(seed)
     workload = BibliographicWorkload(rngs.stream("records"), n_records=150)
     system = MultiStageEventSystem(
-        stage_sizes=(6, 3, 1), seed=seed, engine=engine, cache=cache, batch=batch
+        stage_sizes=(6, 3, 1), seed=seed, engine=engine, tracing=tracing
     )
     system.advertise(
         BIB_EVENT_CLASS, schema=workload.schema,
@@ -95,19 +95,20 @@ def test_compiled_engine_batch_path_engages():
         assert counter.events_matched_batch <= counter.events_received
 
 
-def test_compiled_engine_without_cache_or_batch_still_identical():
-    compiled, traces_compiled = run(13, engine="compiled", cache=False, batch=False)
-    index, traces_index = run(13, engine="index", cache=False, batch=False)
+def test_compiled_engine_per_event_path_still_identical():
+    compiled, traces_compiled = run(13, engine="compiled", tracing=True)
+    index, traces_index = run(13, engine="index", tracing=True)
     assert repr(traces_compiled).encode() == repr(traces_index).encode()
     assert counters_projection(compiled) == counters_projection(index)
-    # Without batching there are no multi-event runs to batch-match.
+    # Tracing matches event by event (each hop span reports its own
+    # probes), so the compiled engine's match_batch never runs.
     assert all(
         n.counters.events_matched_batch == 0 for n in compiled.hierarchy.nodes()
     )
 
 
 def test_compiled_engine_composes_with_routing_cache():
-    compiled, _ = run(17, engine="compiled", cache=True)
+    compiled, _ = run(17, engine="compiled")
     counters = [n.counters for n in compiled.hierarchy.nodes()]
     assert sum(c.cache.hits for c in counters) > 0  # memo engaged on top
 

@@ -29,7 +29,7 @@ class Quote:
 
 
 def make_system(**kwargs):
-    defaults = dict(stage_sizes=(4, 2, 1), seed=3, ttl=10.0, cache=True)
+    defaults = dict(stage_sizes=(4, 2, 1), seed=3, ttl=10.0)
     defaults.update(kwargs)
     system = MultiStageEventSystem(**defaults)
     system.advertise("Quote", schema=SCHEMA)

@@ -16,8 +16,15 @@ These tests pin the fixed behaviour: prompt settling after a kill with
 frames in flight, drop accounting that matches the swallowed frames
 exactly, one-shot FSM edges, and the documented endpoint history across
 kill -> restore -> kill.
+
+Hostile input from a raw localhost connection must not corrupt that
+accounting either: a frame that does not decode settles only the wire
+entry its envelope names (none, for a foreign connection), and a frame
+header claiming an impossible size is recorded, counted as a drop, and
+closes only its own connection.
 """
 
+import asyncio
 import time
 
 import pytest
@@ -28,6 +35,7 @@ from repro.runtime.asyncio_backend import (
     CRASHED,
     INIT,
     LISTENING,
+    MAX_FRAME_BYTES,
     RECOVERING,
     SERVING,
     TcpTransport,
@@ -205,3 +213,78 @@ class TestEndpointHistory:
             SERVING,
             CRASHED,
         ]
+
+
+def _raw_frames(runtime, transport, process, *frames):
+    """Write each frame over its own foreign connection to ``process``."""
+
+    async def _write(frame):
+        port = transport.endpoint(process).port
+        _, writer = await asyncio.open_connection("127.0.0.1", port)
+        writer.write(frame)
+        await writer.drain()
+        return writer
+
+    return [runtime.loop.run_until_complete(_write(frame)) for frame in frames]
+
+
+class TestHostileFrames:
+    """Frames from a raw localhost connection, not from a transport peer."""
+
+    @pytest.fixture
+    def served(self, fabric):
+        runtime, transport = fabric
+        runtime.idle_timeout = 3.0
+        loop_errors = []
+        runtime.loop.set_exception_handler(lambda _, ctx: loop_errors.append(ctx))
+        a, b = Sink(runtime, "a"), Sink(runtime, "b")
+        transport.connect(a, b)
+        _establish(runtime, transport, a, b)
+        yield runtime, transport, a, b
+        # The endpoint keeps serving legitimate traffic afterwards.
+        transport.send(a, b, "after")
+        assert runtime.run_until(
+            lambda: any(m == "after" for m, _ in b.received), timeout=5.0
+        )
+        assert loop_errors == []
+
+    @pytest.mark.parametrize(
+        "body",
+        [b"{}", b'{"v": 1, "src": "a", "kind": "str", "body": "!!"}'],
+        ids=["no-envelope", "bad-body"],
+    )
+    def test_undecodable_frame_settles_nothing(self, served, body):
+        runtime, transport, a, b = served
+        drops = transport.stats.dropped_messages
+        writers = _raw_frames(
+            runtime, transport, b, (len(body) + 4).to_bytes(4, "big") + body
+        )
+        assert runtime.run_until(lambda: transport.errors, timeout=5.0)
+        start = time.monotonic()
+        runtime.run()
+        # Settling a frame that was never in flight drove _inflight to -1,
+        # so run() could not see idleness and burned its idle_timeout.
+        assert time.monotonic() - start < 1.5, "in-flight underflow?"
+        assert runtime._inflight == 0
+        assert transport.stats.in_flight == 0
+        assert transport.stats.dropped_messages == drops + 1
+        assert [e.startswith("decode for b") for e in transport.errors] == [True]
+        writers[0].close()
+
+    def test_bad_frame_headers_close_only_their_connections(self, served):
+        runtime, transport, a, b = served
+        drops = transport.stats.dropped_messages
+        # Below the header size (readexactly would raise ValueError out of
+        # the read loop) and above the frame limit.
+        claims = (0, 2, MAX_FRAME_BYTES + 1)
+        writers = _raw_frames(
+            runtime, transport, b, *(n.to_bytes(4, "big") + b"xx" for n in claims)
+        )
+        assert runtime.run_until(
+            lambda: len(transport.errors) == len(claims), timeout=5.0
+        )
+        for claim in claims:
+            assert any(f"size {claim} outside" in e for e in transport.errors)
+        assert transport.stats.dropped_messages == drops + len(claims)
+        for writer in writers:
+            writer.close()
