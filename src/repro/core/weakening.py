@@ -23,7 +23,7 @@ from repro.core.stages import AttributeStageAssociation
 from repro.events.base import PropertyEvent
 from repro.filters.constraints import AttributeConstraint
 from repro.filters.filter import Filter
-from repro.filters.operators import GE, GT, LE, LT
+from repro.filters.operators import GE, GT, LE, LT, values_comparable
 from repro.filters.standard import standardize
 
 
@@ -127,19 +127,18 @@ def _weakest_bound(
         return None
     weakest = side[0]
     for candidate in side[1:]:
-        try:
-            if upper:
-                looser = candidate.operand > weakest.operand or (
-                    candidate.operand == weakest.operand
-                    and candidate.operator is LE
-                )
-            else:
-                looser = candidate.operand < weakest.operand or (
-                    candidate.operand == weakest.operand
-                    and candidate.operator is GE
-                )
-        except TypeError:
+        # The filters' own notion of comparable, not Python's: False < 1
+        # holds in Python, but no ordering constraint relates the two.
+        if not values_comparable(candidate.operand, weakest.operand):
             return None
+        if upper:
+            looser = candidate.operand > weakest.operand or (
+                candidate.operand == weakest.operand and candidate.operator is LE
+            )
+        else:
+            looser = candidate.operand < weakest.operand or (
+                candidate.operand == weakest.operand and candidate.operator is GE
+            )
         if looser:
             weakest = candidate
     return weakest

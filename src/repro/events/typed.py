@@ -15,7 +15,8 @@ behaviour is "only applied locally" (residual predicates, see
 """
 
 import inspect
-from typing import Any, Dict, Optional, Type
+import weakref
+from typing import Any, Dict, Optional, Tuple, Type
 
 from repro.events.base import CLASS_ATTRIBUTE, PropertyEvent
 
@@ -74,35 +75,68 @@ def _takes_no_arguments(method: Any) -> bool:
     return True
 
 
-def reflect_attributes(event: Any) -> Dict[str, Any]:
-    """Extract the filterable attributes of an event object.
+#: A class's reflection plan: ``(attribute, accessor name)`` pairs in
+#: discovery order, then the names of the properties it reflects.
+_Plan = Tuple[Tuple[Tuple[str, str], ...], Tuple[str, ...]]
+
+#: Plans by event class, built when a class's first event is reflected.
+#: Weak keys, so a class that goes away takes its plan with it.
+_PLANS: "weakref.WeakKeyDictionary[type, _Plan]" = weakref.WeakKeyDictionary()
+
+
+def _reflection_plan(event: Any) -> _Plan:
+    """Discover which members of ``type(event)`` carry attributes.
 
     Discovery order (later sources do not override earlier ones):
 
-    1. zero-argument accessor methods named ``get_<attr>`` / ``get<Attr>``;
+    1. zero-argument accessor methods named ``get_<attr>`` / ``get<Attr>``,
+       in ``dir()`` order;
     2. read-only ``property`` members of the class.
 
-    Private state (underscore-prefixed) is never read directly — only
-    through accessors, preserving encapsulation exactly as the paper's
-    reflection scheme does.
+    Underscore-prefixed names are skipped.  The plan names members only;
+    building it calls no accessor.
     """
-    attributes: Dict[str, Any] = {}
     cls = type(event)
+    accessors = []
+    seen = set()
     for name in dir(cls):
         if name.startswith("_"):
             continue
         attribute = _accessor_attribute_name(name)
-        if attribute is None or attribute in attributes:
+        if attribute is None or attribute in seen:
             continue
         member = getattr(event, name, None)
         if callable(member) and _takes_no_arguments(member):
-            attributes[attribute] = member()
-    for name in dir(cls):
-        if name.startswith("_") or name in attributes:
-            continue
-        class_member = getattr(cls, name, None)
-        if isinstance(class_member, property):
-            attributes[name] = getattr(event, name)
+            accessors.append((attribute, name))
+            seen.add(attribute)
+    properties = tuple(
+        name
+        for name in dir(cls)
+        if not name.startswith("_")
+        and name not in seen
+        and isinstance(getattr(cls, name, None), property)
+    )
+    return tuple(accessors), properties
+
+
+def reflect_attributes(event: Any) -> Dict[str, Any]:
+    """Extract the filterable attributes of an event object.
+
+    Which members to read comes from the class's reflection plan
+    (:func:`_reflection_plan`), built when the class's first event is
+    reflected; the values are read live from this event.  Private state
+    (underscore-prefixed) is never read directly — only through
+    accessors, preserving encapsulation exactly as the paper's
+    reflection scheme does.
+    """
+    cls = type(event)
+    plan = _PLANS.get(cls)
+    if plan is None:
+        plan = _PLANS[cls] = _reflection_plan(event)
+    accessors, properties = plan
+    attributes = {attribute: getattr(event, name)() for attribute, name in accessors}
+    for name in properties:
+        attributes[name] = getattr(event, name)
     return attributes
 
 

@@ -72,7 +72,7 @@ class AttributeConstraint:
         """Evaluate against a mapping of attribute name to value."""
         present = self.attribute in properties
         value = properties[self.attribute] if present else None
-        return self.matches_value(value, present)
+        return self.operator.evaluate(value, self.operand, present)
 
     def implies(self, other: "AttributeConstraint") -> bool:
         """Sound check: every value satisfying ``self`` satisfies ``other``.

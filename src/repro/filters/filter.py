@@ -14,6 +14,7 @@ which the weakening machinery in :mod:`repro.core.stages` relies on.
 
 from typing import Any, Iterable, List, Mapping, Optional, Tuple
 
+from repro.events.base import PropertyEvent
 from repro.filters.constraints import AttributeConstraint, conjunction_implies
 from repro.filters.operators import ALL
 
@@ -86,7 +87,12 @@ class Filter:
         """Definition 1: True iff the event satisfies every constraint."""
         if self.matches_nothing:
             return False
-        properties = _properties_of(event)
+        # The overlay's covering events are plain PropertyEvents: read
+        # their dict directly instead of going through the Mapping API.
+        if type(event) is PropertyEvent:
+            properties = event._properties
+        else:
+            properties = _properties_of(event)
         for constraint in self.constraints:
             if not constraint.matches(properties):
                 return False

@@ -558,7 +558,7 @@ class SubscriberRuntime(Process):
         # homed at N.  This keeps per-subscription delivery exactly-once
         # even when one subscriber attaches at several points of the tree.
         self.counters.bytes_received += len(envelope)
-        states = [s for s in self._active_states() if s.home is sender]
+        states = [s for s in self._states.values() if s.active and s.home is sender]
         matched_states = []
         for state in states:
             if state.subscription.filter.matches(envelope.metadata):

@@ -15,7 +15,7 @@ Typical use::
 
 import heapq
 import itertools
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 
 class SimulationError(Exception):
@@ -30,7 +30,9 @@ class EventHandle:
     tombstoned and skipped when it surfaces.  The owning simulator counts
     live tombstones and compacts the heap when they pile up, so churny
     workloads (renewal timers, retransmit timers, flow-control grants)
-    cannot grow the queue without bound.
+    cannot grow the queue without bound.  Once the simulator has popped
+    the entry, ``sim`` is cleared: cancelling a handle that already fired
+    only sets the flag and leaves no tombstone to count.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "sim")
@@ -57,9 +59,6 @@ class EventHandle:
             if self.sim is not None:
                 self.sim._note_cancelled()
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
         return f"EventHandle(t={self.time!r}, seq={self.seq}, {state})"
@@ -71,6 +70,10 @@ class Simulator:
     The simulator clock starts at ``0.0`` and only advances when events are
     processed; there is no wall-clock coupling.  All times are plain floats
     in arbitrary "simulated time units" (the experiments use seconds).
+
+    The heap holds ``(time, seq, handle)`` entries.  ``(time, seq)`` is
+    unique, so tuple comparison never reaches the handle and orders the
+    heap in C, with the same pop order a comparison on the handle had.
     """
 
     #: Compaction fires once at least this many tombstones accumulate and
@@ -78,7 +81,7 @@ class Simulator:
     COMPACT_MIN_CANCELLED = 64
 
     def __init__(self) -> None:
-        self._queue: List[EventHandle] = []
+        self._queue: List[Tuple[float, int, EventHandle]] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._processed = 0
@@ -124,7 +127,7 @@ class Simulator:
             self._cancelled_pending >= self.COMPACT_MIN_CANCELLED
             and self._cancelled_pending * 2 >= len(self._queue)
         ):
-            self._queue = [h for h in self._queue if not h.cancelled]
+            self._queue = [e for e in self._queue if not e[2].cancelled]
             heapq.heapify(self._queue)
             self._cancelled_pending = 0
             self._compactions += 1
@@ -156,8 +159,9 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time} before current time t={self._now}"
             )
-        handle = EventHandle(time, next(self._seq), callback, args, sim=self)
-        heapq.heappush(self._queue, handle)
+        seq = next(self._seq)
+        handle = EventHandle(time, seq, callback, args, sim=self)
+        heapq.heappush(self._queue, (time, seq, handle))
         return handle
 
     def every(
@@ -183,7 +187,8 @@ class Simulator:
         was empty (cancelled entries are drained silently).
         """
         while self._queue:
-            handle = heapq.heappop(self._queue)
+            handle = heapq.heappop(self._queue)[2]
+            handle.sim = None
             if handle.cancelled:
                 if self._cancelled_pending > 0:
                     self._cancelled_pending -= 1
@@ -210,12 +215,12 @@ class Simulator:
                 if max_events is not None and executed >= max_events:
                     break
                 head = self._queue[0]
-                if head.cancelled:
+                if head[2].cancelled:
                     heapq.heappop(self._queue)
                     if self._cancelled_pending > 0:
                         self._cancelled_pending -= 1
                     continue
-                if until is not None and head.time > until:
+                if until is not None and head[0] > until:
                     self._now = until
                     break
                 if self.step():

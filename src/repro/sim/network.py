@@ -256,6 +256,12 @@ class Network:
     Process names must be unique per network: the per-process traffic
     counters are keyed by name, and two processes sharing one would merge
     their rows silently.  :meth:`connect` (and the lazy path) enforce it.
+
+    The ``sizer`` must be a pure function of an immutable message: a
+    broker fans one message object out to many destinations, so
+    :meth:`send` sizes it once and reuses that size while consecutive
+    sends carry the same object.  Every wire message in
+    :mod:`repro.overlay.messages` is a frozen dataclass.
     """
 
     def __init__(
@@ -269,6 +275,12 @@ class Network:
         self.sim = sim
         self.default_latency = default_latency
         self.sizer = sizer
+        #: One-entry identity memo of the last sized message.  The strong
+        #: reference keeps the object alive, so its identity cannot be
+        #: reused by a different message while it is remembered.  It
+        #: starts as a private sentinel no caller can send.
+        self._sized_message: Any = object()
+        self._sized_bytes = 0
         self.stats = NetworkStats()
         self.faults = faults
         #: Causal span tracer: wire-level drop/dup spans when enabled.
@@ -373,7 +385,12 @@ class Network:
                 f"link between {src.name} and {dst.name} was disconnected"
             )
         link = self._links.get((id(src), id(dst)))
-        size = self.sizer(message)
+        if message is self._sized_message:
+            size = self._sized_bytes
+        else:
+            size = self.sizer(message)
+            self._sized_message = message
+            self._sized_bytes = size
         if pair in self._partitioned or src.crashed or dst.crashed:
             self.stats.record_drop(link, size)
             if self.tracer.enabled:

@@ -143,6 +143,17 @@ class TestMergeCovering:
         assert len(merged) == 1
         assert merged[0].covers(numeric) and merged[0].covers(stringy)
 
+    def test_boolean_and_numeric_bounds_are_incomparable(self):
+        # False < 1 in Python, but filters never order a boolean against
+        # a number: merging into (a < 1) used to lose the event a=False.
+        numeric = parse_filter("a < 1")
+        boolean = parse_filter("a <= false")
+        event = PropertyEvent(a=False)
+        assert boolean.matches(event)
+        merged = merge_covering([numeric, boolean])
+        assert any(m.matches(event) for m in merged)
+        assert all(m.covers(numeric) or m.covers(boolean) for m in merged)
+
     def test_bottom_passes_through(self):
         merged = merge_covering([Filter.bottom(), parse_filter("a = 1")])
         assert Filter.bottom() in merged

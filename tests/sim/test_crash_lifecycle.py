@@ -98,9 +98,9 @@ class TestIncarnationGuard:
         fired = []
         handle = proc.call_later(1.0, fired.append, "stale")
         proc.crash()
-        # Simulate a lost cancellation: resurrect the raw handle.
+        # Simulate a lost cancellation: resurrect the handle's heap entry.
         handle.cancelled = False
-        sim._queue.append(handle)
+        sim._queue.append((handle.time, handle.seq, handle))
         import heapq
 
         heapq.heapify(sim._queue)

@@ -53,6 +53,26 @@ class TestCompaction:
         handle.cancel()
         assert sim.cancelled_pending == 1
 
+    def test_cancel_after_fire_records_no_tombstone(self):
+        # A handle that already fired is out of the heap: cancelling it
+        # late sets the flag but must not count a phantom tombstone.
+        sim = Simulator()
+        handle = sim.schedule(1.0, lambda: None)
+        sim.run()
+        handle.cancel()
+        assert handle.cancelled
+        assert sim.pending_events == 0
+        assert sim.cancelled_pending == 0
+
+    def test_cancel_after_step_records_no_tombstone(self):
+        sim = Simulator()
+        fired = sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        assert sim.step() is True
+        fired.cancel()
+        assert sim.pending_events == 1
+        assert sim.cancelled_pending == 0
+
 
 class TestProcessedEventsExcludesCancelled:
     def test_cancelled_never_counted_processed(self):

@@ -1,5 +1,7 @@
 """Unit tests for the simulated network."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.sim.kernel import Process, SimulationError, Simulator
@@ -98,6 +100,75 @@ def test_custom_sizer(sim):
     net.connect(a, b)
     net.send(a, b, "x")
     assert net.stats.total_bytes == 1000
+
+
+@dataclass(frozen=True)
+class Note:
+    text: str
+
+
+class CountingSizer:
+    def __init__(self, size=100):
+        self.size = size
+        self.calls = 0
+
+    def __call__(self, message):
+        self.calls += 1
+        return self.size
+
+
+def test_one_message_fanned_out_is_sized_once(sim):
+    sizer = CountingSizer()
+    net = Network(sim, sizer=sizer)
+    src = Sink(sim, "src")
+    sinks = [Sink(sim, f"d{i}") for i in range(3)]
+    for sink in sinks:
+        net.connect(src, sink)
+    message = Note("quote")
+    for sink in sinks:
+        net.send(src, sink, message)
+    assert sizer.calls == 1
+    assert net.stats.total_bytes == 3 * sizer.size
+    assert all(net.link(src, s).bytes == sizer.size for s in sinks)
+
+
+def test_equal_but_distinct_message_is_sized_again(sim):
+    sizer = CountingSizer()
+    net = Network(sim, sizer=sizer)
+    a, b = Sink(sim, "a"), Sink(sim, "b")
+    net.connect(a, b)
+    first, second = Note("same"), Note("same")
+    assert first == second and first is not second
+    net.send(a, b, first)
+    net.send(a, b, second)
+    assert sizer.calls == 2
+    assert net.stats.total_bytes == 2 * sizer.size
+
+
+def test_first_send_of_none_is_sized(sim):
+    sizer = CountingSizer(size=40)
+    net = Network(sim, sizer=sizer)
+    a, b = Sink(sim, "a"), Sink(sim, "b")
+    net.connect(a, b)
+    net.send(a, b, None)
+    assert sizer.calls == 1
+    assert net.stats.total_bytes == 40
+
+
+def test_partition_drop_records_the_memoised_size(sim):
+    sizer = CountingSizer(size=70)
+    net = Network(sim, sizer=sizer)
+    a, b, c = Sink(sim, "a"), Sink(sim, "b"), Sink(sim, "c")
+    net.connect(a, b)
+    net.connect(a, c)
+    net.partition(a, c)
+    message = Note("fan-out")
+    net.send(a, b, message)
+    net.send(a, c, message)
+    assert sizer.calls == 1
+    assert net.stats.total_bytes == 70
+    assert net.stats.dropped_bytes == 70
+    assert net.link(a, c).dropped_bytes == 70
 
 
 def test_disconnect_partitions(sim):
