@@ -67,6 +67,12 @@ class PropertyEvent(AbcMapping):
     def __contains__(self, name: object) -> bool:
         return name in self._properties
 
+    def items(self):
+        # The dict's own view, not the Mapping mixin that goes through
+        # __getitem__ per key: the routing cache's fingerprint and the
+        # counting index read it on every hop.
+        return self._properties.items()
+
     def restricted_to(self, attributes: Iterable[str]) -> "PropertyEvent":
         """Event weakening: keep only the named attributes.
 

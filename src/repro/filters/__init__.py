@@ -17,7 +17,7 @@ paper's overlay nodes evaluate and weaken.  This package provides:
 - :mod:`~repro.filters.table` — the paper's naive Figure-6 filter table;
 - :mod:`~repro.filters.index` — a counting-based matching index;
 - :mod:`~repro.filters.engine` — the shared :class:`MatchEngine`
-  interface both implement, plus :class:`CachedMatchEngine`, a
+  interface all three engines implement, plus :class:`CachedMatchEngine`, a
   fingerprint-keyed routing-decision cache for the broker hot path;
 - :mod:`~repro.filters.covering_index` — :class:`CoveringIndex`, a
   candidate-pruned subsumption structure the broker control plane uses

@@ -541,23 +541,34 @@ class CompiledMatchEngine(MatchEngine):
         return self._materialize(self._match_bitmap(properties))
 
     def match_batch(
-        self, events: Sequence[Any]
+        self, events: Sequence[Any], probes: Optional[List[Optional[int]]] = None
     ) -> List[List[Tuple[Filter, Tuple[Hashable, ...]]]]:
         """Match a whole run of events in one pass over the structures.
 
         Dirty attributes recompile once for the run; with numpy present
-        the range-tier bisect positions for all events are computed in a
-        single vectorized ``searchsorted`` per tier.
+        and more than one event, the range-tier bisect positions for all
+        events are computed in a single vectorized ``searchsorted`` per
+        tier (a lone event bisects directly: brokers call this for every
+        wakeup, and most carry one event).  ``probes`` receives each
+        event's probe count, as in :meth:`MatchEngine.match_batch`.
         """
         if not self._filters:
+            if probes is not None:
+                probes.extend([0] * len(events))
             return [[] for _ in events]
         self._recompile_dirty()
         properties = [getattr(event, "properties", event) for event in events]
-        hints = self._numpy_hints(properties) if self.use_numpy else None
-        return [
-            self._materialize(self._match_bitmap(props, hints, position))
-            for position, props in enumerate(properties)
-        ]
+        hints = None
+        if self.use_numpy and len(properties) > 1:
+            hints = self._numpy_hints(properties)
+        results = []
+        for position, props in enumerate(properties):
+            before = self.evaluations
+            acc = self._match_bitmap(props, hints, position)
+            results.append(self._materialize(acc))
+            if probes is not None:
+                probes.append(self.evaluations - before)
+        return results
 
     def _match_bitmap(
         self,

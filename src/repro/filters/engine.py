@@ -1,11 +1,13 @@
 """Shared match-engine interface and the routing-decision cache.
 
-Both matching engines — the naive Figure-6 :class:`~repro.filters.table.
-FilterTable` and the production :class:`~repro.filters.index.CountingIndex`
-— implement the :class:`MatchEngine` surface so broker nodes (and the
-caching layer below) treat them interchangeably.
+All three matching engines — the naive Figure-6 :class:`~repro.filters.
+table.FilterTable`, the :class:`~repro.filters.index.CountingIndex` and the
+bitmap :class:`~repro.filters.compiled.CompiledMatchEngine` — implement the
+:class:`MatchEngine` surface so broker nodes (and the caching layer below)
+treat them interchangeably.  Brokers match every wakeup's run of events
+through one ``match_batch`` call.
 
-:class:`CachedMatchEngine` wraps either engine with a memo of routing
+:class:`CachedMatchEngine` wraps any engine with a memo of routing
 decisions keyed by a canonical *fingerprint* of the event's property set.
 Real event streams are highly repetitive (identical property-set shapes
 recur constantly — Gryphon's information-flow brokering and Shi et al.'s
@@ -16,7 +18,7 @@ Soundness rests on two facts:
 
 1. A match result depends only on the values of attributes some stored
    filter actually constrains (the *relevant* attributes): every other
-   attribute is never probed by either engine.  The fingerprint therefore
+   attribute is never probed by any engine.  The fingerprint therefore
    restricts the event to its relevant attributes — two events that agree
    there are routed identically — and encodes attribute *absence* by
    omission (constraints never match absent attributes).
@@ -28,7 +30,7 @@ Soundness rests on two facts:
 
 Values are keyed with the same bool-vs-number discrimination the counting
 index uses for its equality buckets: ``1 == 1.0`` may share a decision
-(both engines treat them identically under every operator) but ``True``
+(every engine treats them identically under every operator) but ``True``
 may not.
 """
 
@@ -55,10 +57,16 @@ from repro.metrics.counters import CacheStats
 class MatchEngine(ABC):
     """The surface broker nodes require from a matching engine.
 
-    Concrete engines also expose an ``evaluations`` counter of constraint
-    probes performed (the LC bookkeeping callers read as a delta around
-    each ``match`` call).
+    Engines keep cumulative work counters that callers read as deltas
+    around a match call: ``evaluations`` (constraint probes, the LC
+    bookkeeping), and for the compiled engine ``rebuilds`` (dirty
+    recompiles) and ``residual_evaluations`` (residual predicates run).
+    An engine without such work leaves the last two at zero.
     """
+
+    evaluations: int = 0
+    rebuilds: int = 0
+    residual_evaluations: int = 0
 
     @abstractmethod
     def insert(self, filter_: Filter, destination: Hashable) -> None:
@@ -104,17 +112,23 @@ class MatchEngine(ABC):
         return result
 
     def match_batch(
-        self, events: Sequence[Any]
+        self, events: Sequence[Any], probes: Optional[List[Optional[int]]] = None
     ) -> List[List[Tuple[Filter, Tuple[Hashable, ...]]]]:
         """Match a run of events; result ``i`` is ``match(events[i])``.
 
-        The default simply loops — which preserves the per-event
-        memoization of :class:`CachedMatchEngine` — while engines with a
-        real batch mode (:class:`~repro.filters.compiled.
-        CompiledMatchEngine`) override it to amortize recompilation and
-        vectorize lookups across the whole run.
+        When ``probes`` is a list, the constraint probes each event cost
+        are appended to it, one entry per event.  The default loops;
+        :class:`~repro.filters.compiled.CompiledMatchEngine` overrides it
+        to amortize recompilation and vectorize lookups across the run,
+        and :class:`CachedMatchEngine` to answer repeats from its memo.
         """
-        return [self.match(event) for event in events]
+        results = []
+        for event in events:
+            before = self.evaluations
+            results.append(self.match(event))
+            if probes is not None:
+                probes.append(self.evaluations - before)
+        return results
 
 
 def value_key(value: Any) -> Any:
@@ -133,11 +147,11 @@ def event_fingerprint(
     """
     properties: Mapping[str, Any] = getattr(event, "properties", event)
     items = [
-        (attribute, value_key(value))
+        (attribute, (type(value) is bool, value))  # value_key, inlined
         for attribute, value in properties.items()
         if attribute in relevant
     ]
-    items.sort(key=lambda item: item[0])
+    items.sort()  # attribute names are distinct: values never compared
     key = tuple(items)
     try:
         hash(key)
@@ -206,72 +220,72 @@ class CachedMatchEngine(MatchEngine):
         return self._relevant
 
     def match(self, event: Any) -> List[Tuple[Filter, Tuple[Hashable, ...]]]:
-        key = event_fingerprint(event, self._relevant_attributes())
-        if key is not None:
-            cached = self._cache.get(key)
-            if cached is not None:
-                self._cache.move_to_end(key)
-                self.stats.hits += 1
-                return list(cached)
-        self.stats.misses += 1
-        result = self.inner.match(event)
-        if key is not None:
-            self._cache[key] = tuple(result)
-            if len(self._cache) > self.max_entries:
-                self._cache.popitem(last=False)
-        return result
+        return self.match_batch((event,))[0]
 
     def match_batch(
-        self, events: Sequence[Any]
+        self, events: Sequence[Any], probes: Optional[List[Optional[int]]] = None
     ) -> List[List[Tuple[Filter, Tuple[Hashable, ...]]]]:
-        """Batch match preserving the memo semantics of :meth:`match`.
+        """Match a run of events through the memo, in event order.
 
-        Memoized fingerprints are answered from the cache; the remaining
-        *distinct* fingerprints (plus every unhashable-fingerprint event)
-        are evaluated through the inner engine's own ``match_batch`` in
-        one pass.  Hit/miss/eviction accounting is identical to calling
-        :meth:`match` sequentially: a fingerprint recurring within one
-        batch is a miss the first time and a hit after, exactly as if the
-        memo had been populated between the two calls.
+        Each event takes exactly the verdict a sequential :meth:`match`
+        would give it, even with the memo at capacity: a hit moves its
+        fingerprint to the LRU tail, and a miss inserts a placeholder
+        there (its index among the run's misses), evicting the head if
+        the memo overflows.  A later repeat of a pending fingerprint in
+        the same run is therefore a hit, and an evicted one a miss
+        again.  Every miss (and every unhashable-fingerprint event)
+        then runs once through the inner engine's ``match_batch``; its
+        result replaces its placeholder in place when still memoized.
+
+        When ``probes`` is a list, one entry per event is appended:
+        ``None`` for a memo hit, else the constraint probes the inner
+        engine spent on that event.
         """
         relevant = self._relevant_attributes()
-        results: List[Optional[List[Tuple[Filter, Tuple[Hashable, ...]]]]] = (
-            [None] * len(events)
-        )
-        miss_events: List[Any] = []
-        miss_keys: List[Optional[Tuple]] = []
-        miss_slots: List[List[int]] = []
-        key_to_miss: dict = {}
+        cache = self._cache
+        stats = self.stats
+        # Per event: the memoized result tuple, or the index of the miss
+        # whose result answers it.
+        slots: List[Any] = []
+        misses: List[Tuple[Optional[Tuple], Any, int]] = []
         for position, event in enumerate(events):
             key = event_fingerprint(event, relevant)
             if key is not None:
-                cached = self._cache.get(key)
+                cached = cache.get(key)
                 if cached is not None:
-                    self._cache.move_to_end(key)
-                    self.stats.hits += 1
-                    results[position] = list(cached)
+                    cache.move_to_end(key)
+                    stats.hits += 1
+                    slots.append(cached)
                     continue
-                pending = key_to_miss.get(key)
-                if pending is not None:
-                    self.stats.hits += 1
-                    miss_slots[pending].append(position)
-                    continue
-                key_to_miss[key] = len(miss_events)
-            self.stats.misses += 1
-            miss_events.append(event)
-            miss_keys.append(key)
-            miss_slots.append([position])
-        if miss_events:
-            for key, slots, result in zip(
-                miss_keys, miss_slots, self.inner.match_batch(miss_events)
-            ):
-                if key is not None:
-                    self._cache[key] = tuple(result)
-                    if len(self._cache) > self.max_entries:
-                        self._cache.popitem(last=False)
-                for position in slots:
-                    results[position] = list(result)
-        return results  # type: ignore[return-value]
+                cache[key] = len(misses)
+                if len(cache) > self.max_entries:
+                    cache.popitem(last=False)
+            stats.misses += 1
+            slots.append(len(misses))
+            misses.append((key, event, position))
+        inner_probes: Optional[List[int]] = None
+        if probes is not None:
+            first = len(probes)
+            probes.extend([None] * len(slots))
+            inner_probes = []
+        if not misses:
+            return [list(slot) for slot in slots]
+        try:
+            computed = self.inner.match_batch(
+                [event for _, event, _ in misses], inner_probes
+            )
+        except BaseException:
+            cache.clear()  # never leave an unresolved placeholder behind
+            raise
+        for index, (key, _, position) in enumerate(misses):
+            if key is not None and cache.get(key) == index:
+                cache[key] = tuple(computed[index])
+            if inner_probes is not None:
+                probes[first + position] = inner_probes[index]
+        return [
+            list(computed[slot]) if type(slot) is int else list(slot)
+            for slot in slots
+        ]
 
     # -- read-only delegation -------------------------------------------
 
@@ -283,6 +297,14 @@ class CachedMatchEngine(MatchEngine):
     @evaluations.setter
     def evaluations(self, value: int) -> None:
         self.inner.evaluations = value
+
+    @property
+    def rebuilds(self) -> int:
+        return self.inner.rebuilds
+
+    @property
+    def residual_evaluations(self) -> int:
+        return self.inner.residual_evaluations
 
     def destinations_for(self, filter_: Filter) -> Tuple[Hashable, ...]:
         return self.inner.destinations_for(filter_)

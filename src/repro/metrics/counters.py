@@ -117,9 +117,6 @@ class NodeCounters:
     catchup_delivered: int = 0
     #: Credits returned for events a lossy link swallowed (gap-grant).
     credit_gap_grants: int = 0
-    #: Events matched through a single ``match_batch`` engine pass
-    #: (subset of ``events_received``; compiled-engine brokers only).
-    events_matched_batch: int = 0
     #: Dirty-attribute recompiles performed by a compiled match engine.
     compile_rebuilds: int = 0
     #: Residual (non-indexable) predicates evaluated on candidates that
@@ -142,8 +139,10 @@ class NodeCounters:
     #: downlink-bandwidth measure; subscriber runtimes only).
     bytes_received: int = 0
 
-    def on_event(self, matched: bool, forwarded_to: int, evaluations: int) -> None:
-        """Record one filtered event."""
+    def on_event(
+        self, matched: bool, forwarded_to: int, evaluations: int = 0
+    ) -> None:
+        """Record one filtered event (a broker books its probes per run)."""
         self.events_received += 1
         if matched:
             self.events_matched += 1

@@ -1216,7 +1216,7 @@ class BrokerNode(Process):
         now = self.sim.now
         tracing = self.tracer.enabled
         collapse = isinstance(spec.operator, CollapseSpec)
-        publishes: List[Publish] = []
+        entries: List[Tuple[Publish, str, float]] = []
         for emission in emissions:
             seq = self._flow_seqs.get(spec.name, 0)
             self._flow_seqs[spec.name] = seq + 1
@@ -1228,7 +1228,7 @@ class BrokerNode(Process):
                 published_at=now,
                 event_id=(namespace, seq),
             )
-            publishes.append(Publish(envelope))
+            entries.append((Publish(envelope), namespace, now))
             self.counters.events_published += 1
             self.counters.flow_events_out += 1
             if collapse and emission.n_inputs > 1:
@@ -1258,12 +1258,9 @@ class BrokerNode(Process):
                         ("input_ids", ids),
                     ),
                 )
-        metas = None
-        if tracing:
-            metas = tuple((namespace, now) for _ in publishes)
         self._flow_depth += 1
         try:
-            self._process_batch(tuple(publishes), metas)
+            self._process_batch(entries)
         finally:
             self._flow_depth -= 1
 
@@ -1375,76 +1372,44 @@ class BrokerNode(Process):
         flow-managed one has no instantaneous catch-up.  The pending
         drain wakeup stays armed (it finds the queue empty)."""
         if self.flow is None and self.service_rate is None and self._inbound:
-            self._serve(self._inbound.drain())
+            self._process_batch(self._inbound.drain())
 
-    def _serve(self, entries: Sequence[Tuple[Publish, str, float]]) -> None:
-        batch = tuple([entry[0] for entry in entries])
-        metas = None
-        if self.tracer.enabled:
-            metas = tuple([(entry[1], entry[2]) for entry in entries])
-        self._process_batch(batch, metas)
+    def _process_batch(self, entries: Sequence[Tuple[Publish, str, float]]) -> None:
+        """Match and forward a run of inbound ``(publish, source name,
+        arrival time)`` entries in one wakeup.
 
-    def _process_batch(
-        self,
-        batch: Sequence[Publish],
-        metas: Optional[Sequence[Tuple[str, float]]] = None,
-    ) -> None:
-        """Match and forward a run of events in one wakeup.
-
-        Events bound for the same destination coalesce into a single
-        :class:`PublishBatch` send (one scheduling round downstream);
-        per-destination event order is the batch order, i.e. exactly the
-        unbatched delivery order.  ``metas`` carries per-event ``(sender
-        name, arrival time)`` when tracing is on.
+        The run is matched in one ``match_batch`` call, which books the
+        engine's probes, recompiles and residual evaluations for the run
+        in the same way however many events it holds and whether or not
+        tracing is on.  Events bound for the same destination coalesce
+        into a single :class:`PublishBatch` send (one scheduling round
+        downstream); per-destination event order is the batch order,
+        i.e. exactly the unbatched delivery order.
         """
-        self.counters.on_batch(len(batch))
+        counters = self.counters
+        counters.on_batch(len(entries))
+        batch = [entry[0] for entry in entries]
         if self.log is not None:
             batch = self._log_batch(batch)
             if self._replayer is not None and self._replayer.has_catch_up:
                 self._replayer.tap_batch(batch)
         engine = self._match_engine()
         tracing = self.tracer.enabled
-        raw = engine.inner
-        # Whole-batch evaluation when the underlying engine has a native
-        # match_batch (the compiled bitmap engine): one dirty recompile
-        # and one structure pass for the entire run.  The tracing path
-        # keeps per-event match calls so each hop span can report its own
-        # probe delta and cache verdict — results are identical.
-        use_batch = (
-            not tracing
-            and len(batch) > 1
-            and type(raw).match_batch is not MatchEngine.match_batch
+        # Per-event probe counts (None for a memo hit), read by hop spans.
+        probes: Optional[List[Optional[int]]] = [] if tracing else None
+        probes_before = engine.evaluations
+        rebuilds_before = engine.rebuilds
+        residual_before = engine.residual_evaluations
+        all_matches = engine.match_batch(
+            [message.envelope.metadata for message in batch], probes
         )
-        all_matches = None
-        if use_batch:
-            probes_before = engine.evaluations
-            rebuilds_before = getattr(raw, "rebuilds", 0)
-            residual_before = getattr(raw, "residual_evaluations", 0)
-            all_matches = engine.match_batch(
-                tuple(message.envelope.metadata for message in batch)
-            )
-            # Per-event on_event() calls below pass evaluations=0; the
-            # whole run's probe delta lands here once, so the totals are
-            # identical to the per-event accounting.
-            self.counters.filter_evaluations += engine.evaluations - probes_before
-            self.counters.events_matched_batch += len(batch)
-            self.counters.compile_rebuilds += (
-                getattr(raw, "rebuilds", 0) - rebuilds_before
-            )
-            self.counters.residual_evaluations += (
-                getattr(raw, "residual_evaluations", 0) - residual_before
-            )
+        counters.filter_evaluations += engine.evaluations - probes_before
+        counters.compile_rebuilds += engine.rebuilds - rebuilds_before
+        counters.residual_evaluations += engine.residual_evaluations - residual_before
         runs: Dict[int, List[Publish]] = {}
         run_order: List[Process] = []
         for position, message in enumerate(batch):
-            if all_matches is not None:
-                matches = all_matches[position]
-                probes_delta = 0
-            else:
-                probes_before = engine.evaluations
-                hits_before = self.counters.cache.hits if tracing else 0
-                matches = engine.match(message.envelope.metadata)
-                probes_delta = engine.evaluations - probes_before
+            matches = all_matches[position]
             destinations: List[Process] = []
             seen = set()
             for _, ids in matches:
@@ -1452,17 +1417,10 @@ class BrokerNode(Process):
                     if id(destination) not in seen:
                         seen.add(id(destination))
                         destinations.append(destination)
-            self.counters.on_event(
-                matched=bool(matches),
-                forwarded_to=len(destinations),
-                evaluations=probes_delta,
-            )
+            counters.on_event(bool(matches), len(destinations))
             if tracing:
-                if metas is not None and position < len(metas):
-                    src, arrived = metas[position]
-                else:
-                    src, arrived = "?", self.sim.now
-                cache = "hit" if self.counters.cache.hits > hits_before else "miss"
+                _, src, arrived = entries[position]
+                probed = probes[position]
                 self.tracer.span(
                     self.sim.now,
                     "hop",
@@ -1471,8 +1429,8 @@ class BrokerNode(Process):
                     trace_id=message.envelope.event_id,
                     details=(
                         ("src", src),
-                        ("cache", cache),
-                        ("probed", probes_delta),
+                        ("cache", "miss" if probed is not None else "hit"),
+                        ("probed", probed or 0),
                         ("matched", bool(matches)),
                         ("fanout", len(destinations)),
                         ("defer", self.sim.now - arrived),
@@ -1731,7 +1689,7 @@ class BrokerNode(Process):
             entries = [self._inbound.popleft() for _ in range(count)]
         if not entries:
             return
-        self._serve(entries)
+        self._process_batch(entries)
         if self.service_rate is not None:
             self._busy_until = self.sim.now + len(entries) / self.service_rate
         if self.flow is not None:

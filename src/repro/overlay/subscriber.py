@@ -498,37 +498,12 @@ class SubscriberRuntime(Process):
         self.counters.on_event(matched=matched, forwarded_to=0, evaluations=1)
         tracing = self.tracer.enabled
         delivered_before = self.counters.events_delivered if tracing else 0
-        if matched:
-            if envelope.event_id is not None and not session.remember(
-                envelope.event_id
-            ):
-                session.dupes += 1
-                self.counters.replay_dupes_discarded += 1
+        if matched and self._deliver(state, envelope, None, session):
+            if history:
+                session.history_delivered += 1
             else:
-                subscription = state.subscription
-                event = unmarshal(envelope)
-                deliver = True
-                if subscription.group is not None and envelope.event_id is not None:
-                    key = (subscription.group, envelope.event_id)
-                    if key in self._delivered_groups:
-                        deliver = False
-                    else:
-                        self._delivered_groups[key] = None
-                        if len(self._delivered_groups) > self._delivered_groups_limit:
-                            self._delivered_groups.popitem(last=False)
-                closure = subscription.closure
-                if deliver and closure is not None and closure.residual is not None:
-                    if not closure.residual(event):
-                        deliver = False
-                if deliver:
-                    if history:
-                        session.history_delivered += 1
-                    else:
-                        session.tap_delivered += 1
-                    self.counters.events_delivered += 1
-                    self.counters.catchup_delivered += 1
-                    if state.handler is not None:
-                        state.handler(event, envelope.metadata, subscription)
+                session.tap_delivered += 1
+            self.counters.catchup_delivered += 1
         if tracing:
             self.tracer.span(
                 self.sim.now,
@@ -576,30 +551,8 @@ class SubscriberRuntime(Process):
             # Event safety: the payload is opened exactly once, at the edge.
             event = unmarshal(envelope)
             for state in matched_states:
-                subscription = state.subscription
-                session = self._catch_up.get(subscription.subscription_id)
-                if session is not None and envelope.event_id is not None:
-                    # Around the catch-up handover the same event can
-                    # also arrive via the replay stream; first copy in
-                    # wins, later ones are discarded (exactly-once).
-                    if not session.remember(envelope.event_id):
-                        session.dupes += 1
-                        self.counters.replay_dupes_discarded += 1
-                        continue
-                if subscription.group is not None and envelope.event_id is not None:
-                    key = (subscription.group, envelope.event_id)
-                    if key in self._delivered_groups:
-                        continue  # another branch already delivered this event
-                    self._delivered_groups[key] = None
-                    if len(self._delivered_groups) > self._delivered_groups_limit:
-                        self._delivered_groups.popitem(last=False)
-                closure = subscription.closure
-                if closure is not None and closure.residual is not None:
-                    if not closure.residual(event):
-                        continue
-                self.counters.events_delivered += 1
-                if state.handler is not None:
-                    state.handler(event, envelope.metadata, subscription)
+                session = self._catch_up.get(state.subscription.subscription_id)
+                self._deliver(state, envelope, event, session)
         if tracing:
             latency = (
                 self.sim.now - envelope.published_at
@@ -622,6 +575,48 @@ class SubscriberRuntime(Process):
                     ("latency", latency),
                 ),
             )
+
+    def _deliver(
+        self,
+        state: _SubscriptionState,
+        envelope: Envelope,
+        event: Any,
+        session: Optional[_CatchUpSession],
+    ) -> bool:
+        """The stage-0 steps for one subscription an event matched.
+
+        In order: the catch-up session dedup (around the handover the same
+        event also arrives via the replay stream; the first copy in wins),
+        the disjunction-group dedup (another branch of the same OR may
+        have delivered it), the residual closure, then the count and the
+        handler call.  ``event`` is the unmarshaled payload, or None to
+        unmarshal it only once the session dedup has kept the copy.
+        Returns whether the event was delivered.
+        """
+        subscription = state.subscription
+        event_id = envelope.event_id
+        if session is not None and event_id is not None:
+            if not session.remember(event_id):
+                session.dupes += 1
+                self.counters.replay_dupes_discarded += 1
+                return False
+        if event is None:
+            event = unmarshal(envelope)
+        if subscription.group is not None and event_id is not None:
+            key = (subscription.group, event_id)
+            if key in self._delivered_groups:
+                return False
+            self._delivered_groups[key] = None
+            if len(self._delivered_groups) > self._delivered_groups_limit:
+                self._delivered_groups.popitem(last=False)
+        closure = subscription.closure
+        if closure is not None and closure.residual is not None:
+            if not closure.residual(event):
+                return False
+        self.counters.events_delivered += 1
+        if state.handler is not None:
+            state.handler(event, envelope.metadata, subscription)
+        return True
 
     def _active_states(self) -> List[_SubscriptionState]:
         return [s for s in self._states.values() if s.active]

@@ -16,7 +16,10 @@ cache and the compiled bitmap structures honest: any unsound memoization,
 missed invalidation, or stale compiled tier shows up as a divergence from
 the uncached oracle within a few dozen random steps.  ``match_batch`` is
 driven through the same machine so the batched entry point (including the
-cached wrapper's miss-dedup batching) is held to the same oracle.
+cached wrapper's miss-dedup batching) is held to the same oracle, and two
+capacity-2 cached twins — one matched event by event, one by whole
+batches — must keep identical memo stats, probe totals and per-event
+probe reports while eviction is constantly in play.
 """
 
 import hypothesis.strategies as st
@@ -92,12 +95,17 @@ class EngineDifferential(RuleBasedStateMachine):
         ]
         if _numpy is not None:
             self.others.append(CompiledMatchEngine(use_numpy=True))
+        # Capacity-2 memo twins, one fed event by event and one fed whole
+        # batches: eviction keeps biting, and their hit/miss/eviction
+        # verdicts and probe totals must stay equal.
+        self.sequential = CachedMatchEngine(CountingIndex(), max_entries=2)
+        self.batched = CachedMatchEngine(CountingIndex(), max_entries=2)
         #: (filter, destination) pairs currently stored, for removals that
         #: actually hit (pure misses exercise nothing after the first one).
         self.live = []
 
     def engines(self):
-        return [self.oracle] + self.others
+        return [self.oracle] + self.others + [self.sequential, self.batched]
 
     @rule(filter_=filters, destination=st.sampled_from(DESTINATIONS))
     def insert(self, filter_, destination):
@@ -161,6 +169,26 @@ class EngineDifferential(RuleBasedStateMachine):
                 f"{engine!r} batch diverged from oracle on {batch}"
             )
             assert engine.match_batch(batch + batch) == expected + expected
+        for run in (batch, batch + batch):
+            expected_probes = []
+            for event in run:
+                hits, before = self.sequential.stats.hits, self.sequential.evaluations
+                assert self.sequential.match(event) == self.oracle.match(event)
+                hit = self.sequential.stats.hits > hits
+                expected_probes.append(
+                    None if hit else self.sequential.evaluations - before
+                )
+            probes = []
+            assert self.batched.match_batch(run, probes) == [
+                self.oracle.match(event) for event in run
+            ]
+            assert probes == expected_probes
+
+    @invariant()
+    def memo_twins_agree(self):
+        assert self.sequential.stats == self.batched.stats
+        assert self.sequential.evaluations == self.batched.evaluations
+        assert self.sequential.cached_decisions() == self.batched.cached_decisions()
 
     @invariant()
     def same_population(self):

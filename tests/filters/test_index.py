@@ -179,6 +179,47 @@ def test_cached_engine_hits_cost_zero_probes():
     assert engine.evaluations == after_miss
 
 
+def _capacity_two_engine():
+    from repro.filters.engine import CachedMatchEngine
+
+    engine = CachedMatchEngine(CountingIndex(), max_entries=2)
+    engine.insert(parse_filter("x = 1"), "eq")
+    engine.insert(parse_filter("x > 0"), "gt")
+    engine.match({"x": 1})
+    engine.match({"x": 2})  # memo full: [x=1, x=2]
+    return engine
+
+
+def test_cached_batch_equals_sequential_at_capacity():
+    """At capacity, a batch must evict in event order like single matches:
+    x=3's miss evicts x=1 before x=1 is looked up again."""
+    events = [{"x": 3}, {"x": 1}]
+    sequential = _capacity_two_engine()
+    expected = [sequential.match(event) for event in events]
+    batched = _capacity_two_engine()
+    assert batched.match_batch(events) == expected
+    assert sequential.stats.snapshot() == batched.stats.snapshot()
+    assert batched.stats.hits == 0 and batched.stats.misses == 4
+    assert batched.evaluations == sequential.evaluations
+    assert batched.cached_decisions() == sequential.cached_decisions() == 2
+
+
+def test_cached_batch_reports_per_event_probes():
+    """``probes`` gets one entry per event: None for a memo hit (in-batch
+    repeats included), else that event's own probe count."""
+    from repro.filters.engine import CachedMatchEngine
+
+    engine = CachedMatchEngine(CountingIndex())
+    engine.insert(parse_filter('symbol = "Foo"'), "foo")
+    engine.insert(parse_filter("price < 10"), "cheap")
+    engine.match({"symbol": "Foo"})
+    probes = []
+    events = [{"symbol": "Foo"}, {"symbol": "Foo", "price": 5}, {"price": 5}]
+    engine.match_batch(events + events[1:2], probes)
+    assert probes == [None, 2, 1, None]
+    assert sum(p or 0 for p in probes) == engine.evaluations - 1
+
+
 def _random_filter(rng: random.Random) -> Filter:
     attributes = ["a", "b", "c"]
     operators = [EQ, NE, LT, LE, GT, GE, EXISTS, ALL, PREFIX, CONTAINS]

@@ -20,8 +20,8 @@ SNAPSHOT_KEYS = """
     control_retransmits control_dups_discarded events_shed
     credits_granted credit_stalls rate_limited overload_transitions
     events_logged replay_events_sent replay_dupes_discarded catchup_taps
-    catchup_delivered credit_gap_grants events_matched_batch
-    compile_rebuilds residual_evaluations flows_installed flow_events_in
+    catchup_delivered credit_gap_grants compile_rebuilds
+    residual_evaluations flows_installed flow_events_in
     flow_events_out flow_windows_dropped flow_collapsed_events
     events_published bytes_received
 """.split()
